@@ -17,7 +17,6 @@ from .formulas import (
 )
 from .graphs import (
     GraphError,
-    LaplacianView,
     WeightedGraph,
     bent_2tree,
     straight_2tree,
@@ -52,12 +51,7 @@ from .reduction import (
     reduce_straight_chain,
     reduce_straight_state,
 )
-from .resistance import (
-    ResistanceResult,
-    resistance_exact,
-    resistance_float,
-    resistance_result,
-)
+from .resistance import resistance_exact, resistance_float
 from .sequences import fib, index_limit, lucas
 
 __version__ = "0.1.0"
@@ -67,13 +61,11 @@ __all__ = [
     "GraphError",
     "Identity",
     "IdentityReport",
-    "LaplacianView",
     "PROFILES",
     "REGISTRY",
     "Rational",
     "ReductionError",
     "ReductionState",
-    "ResistanceResult",
     "StepRecord",
     "TailTriple",
     "UnknownIdentityError",
@@ -99,7 +91,6 @@ __all__ = [
     "replay_counterexample",
     "resistance_exact",
     "resistance_float",
-    "resistance_result",
     "run_all",
     "series_combine",
     "straight_2tree",

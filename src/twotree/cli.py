@@ -3,8 +3,9 @@
 Subcommands: `resistance` (one query, several methods, cross-checked),
 `sweep` (parameter grids, deterministic order), `verify` (identity
 catalogue as JSON lines), `reduce` (chain reduction with an optional
-step-by-step log).  Exit codes: 0 success, 1 verification failure,
-2 usage or input error.
+step-by-step log).  Exit codes: 0 success, 1 verification failure (routes
+that disagree, a failed identity, a broken engine invariant), 2 usage or
+input error.
 """
 
 from __future__ import annotations
@@ -200,6 +201,15 @@ def emit_records(records: list[dict], fmt: str, out) -> None:
             out.write(_record_to_text(record) + "\n")
 
 
+def _agreement_status(records: list[dict]) -> int:
+    """Exit status of a query batch: 1 when any record's routes disagree."""
+    disagree = sum(1 for record in records if record["agree"] is False)
+    if disagree:
+        print(f"error: routes disagree on {disagree} of {len(records)} records", file=sys.stderr)
+        return 1
+    return 0
+
+
 # -- subcommand drivers -------------------------------------------------------
 
 def _cmd_resistance(args, out) -> int:
@@ -207,7 +217,7 @@ def _cmd_resistance(args, out) -> int:
     methods = _resolve_methods(args.methods, args.family, args.n, i, j)
     record = build_record("resistance", args.family, args.n, args.k, i, j, methods, args.digits)
     emit_records([record], args.format, out)
-    return 0
+    return _agreement_status([record])
 
 
 def _parse_span(text: str) -> tuple[int, int]:
@@ -248,7 +258,7 @@ def _cmd_sweep(args, out) -> int:
             methods = _resolve_methods(args.methods, "bent", n, 1, n)
             records.append(build_record("sweep", "bent", n, k, 1, n, methods, args.digits))
     emit_records(records, args.format, out)
-    return 0
+    return _agreement_status(records)
 
 
 def _cmd_verify(args, out) -> int:
@@ -269,16 +279,12 @@ def _cmd_verify(args, out) -> int:
 def _detect_family(g: WeightedGraph) -> tuple[str, Optional[int]]:
     if any(w != 1 for _, _, w in g.edges):
         raise UsageError("only unit-weight chains are reducible; found non-unit weights")
-    edge_set = {(a, b) for a, b, _ in g.edges}
-    if g.n >= 3:
-        straight = {(a, b) for a, b, _ in straight_2tree(g.n).edges}
-        if edge_set == straight:
-            return "straight", None
-    if g.n >= 6:
-        for k in range(3, g.n - 2):
-            bent = {(a, b) for a, b, _ in bent_2tree(g.n, k).edges}
-            if edge_set == bent:
-                return "bent", k
+    if g.n >= 3 and g == straight_2tree(g.n):
+        return "straight", None
+    # A bent chain has exactly one edge spanning three positions, {k, k+3}.
+    bends = [a for a, b, _ in g.edges if b - a == 3]
+    if len(bends) == 1 and 3 <= bends[0] <= g.n - 3 and g == bent_2tree(g.n, bends[0]):
+        return "bent", bends[0]
     raise UsageError("unsupported topology: not a straight or singly-bent chain")
 
 
@@ -396,7 +402,12 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.cmd == "reduce":
             return _cmd_reduce(args, out)
         parser.error(f"unknown command {args.cmd!r}")
-    except (UsageError, GraphError, ReductionError, ValueError) as exc:
+    except ReductionError as exc:
+        # The CLI only hands the engine valid chains, so this is a broken
+        # invariant inside it, never a usage error.
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except (UsageError, GraphError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -6,9 +6,8 @@ immutable once built; edge weights are exact rationals.
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Iterator
 
 from .rational import as_rational, ratio_string
@@ -76,9 +75,6 @@ class WeightedGraph:
     def degree(self, v: int) -> int:
         return len(self.neighbors(v))
 
-    def weighted_degree(self, v: int) -> Fraction:
-        return sum(self._adj[v].values(), Fraction(0))
-
     def is_connected(self) -> bool:
         seen = {1}
         frontier = [1]
@@ -127,15 +123,20 @@ class WeightedGraph:
 
     # -- derived structures -------------------------------------------------
 
-    def laplacian(self) -> "LaplacianView":
-        rows = []
-        for i in range(1, self.n + 1):
-            row = [Fraction(0)] * self.n
-            for j, w in self._adj[i].items():
-                row[j - 1] = -w
-            row[i - 1] = self.weighted_degree(i)
-            rows.append(tuple(row))
-        return LaplacianView(self.n, tuple(rows))
+    def laplacian(self) -> tuple[int, list[list[int]]]:
+        """`(scale, rows)` with `rows` the integer matrix scale * L.
+
+        `scale` is the lcm of the edge-weight denominators (1 on unit chains);
+        row and column v - 1 belong to vertex v.
+        """
+        scale = lcm(*(w.denominator for _, _, w in self._edges))
+        rows = [[0] * self.n for _ in range(self.n)]
+        for i, j, w in self._edges:
+            c = w.numerator * (scale // w.denominator)
+            rows[i - 1][j - 1] = rows[j - 1][i - 1] = -c
+            rows[i - 1][i - 1] += c
+            rows[j - 1][j - 1] += c
+        return scale, rows
 
     def delete_edge(self, i: int, j: int) -> "WeightedGraph":
         """New graph with one edge removed (for monotonicity experiments)."""
@@ -179,9 +180,6 @@ class WeightedGraph:
                 raise GraphError(f"bad edge line {ln!r}") from exc
         return cls(n, edges)
 
-    def fingerprint(self) -> str:
-        return hashlib.sha256(self.to_text().encode()).hexdigest()[:16]
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, WeightedGraph)
@@ -194,28 +192,6 @@ class WeightedGraph:
 
     def __repr__(self) -> str:
         return f"WeightedGraph(n={self.n}, edges={self.edge_count})"
-
-
-@dataclass(frozen=True)
-class LaplacianView:
-    """Symmetric n x n rational Laplacian of a weighted graph."""
-
-    n: int
-    rows: tuple[tuple[Fraction, ...], ...]
-
-    def entry(self, i: int, j: int) -> Fraction:
-        """Matrix entry addressed by 1-based vertex labels."""
-        return self.rows[i - 1][j - 1]
-
-    def row_sums(self) -> tuple[Fraction, ...]:
-        return tuple(sum(row, Fraction(0)) for row in self.rows)
-
-    def is_symmetric(self) -> bool:
-        return all(
-            self.rows[a][b] == self.rows[b][a]
-            for a in range(self.n)
-            for b in range(a + 1, self.n)
-        )
 
 
 def straight_2tree(n: int) -> WeightedGraph:

@@ -100,7 +100,6 @@ class ReductionState:
         source: int,
         sink: int,
         observer: Optional[Observer] = None,
-        enforce_unit_triangle: bool = True,
     ):
         self.source = source
         self.sink = sink
@@ -114,7 +113,6 @@ class ReductionState:
             self._adj[j][i] = r
         self._next_label = graph.n
         self._observer = observer
-        self._enforce_unit = enforce_unit_triangle
 
     # -- inspection ---------------------------------------------------------
 
@@ -175,7 +173,7 @@ class ReductionState:
         r_a = self.resistance_between(anchor, middle)
         r_b = self.resistance_between(anchor, far)
         r_c = self.resistance_between(middle, far)
-        if self._enforce_unit and r_c != 1:
+        if r_c != 1:
             raise ReductionError(
                 f"chain invariant broken: edge {middle}-{far} has resistance {r_c}, expected 1"
             )

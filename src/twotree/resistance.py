@@ -9,24 +9,13 @@ exact path, never to feed it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 import numpy as np
 
 from .graphs import GraphError, WeightedGraph
 
 FLOAT_VERTEX_GUARD = 2000
-
-
-@dataclass(frozen=True)
-class ResistanceResult:
-    """One resistance value together with how and on what it was computed."""
-
-    value: Fraction | float
-    method: str
-    graph_fingerprint: str
 
 
 def _check_pair(g: WeightedGraph, i: int, j: int) -> None:
@@ -78,21 +67,12 @@ def resistance_exact(g: WeightedGraph, i: int, j: int, *, ground: int | None = N
     if not 1 <= w <= g.n:
         raise GraphError(f"ground vertex {w} out of range 1..{g.n}")
 
-    lap = g.laplacian()
-    keep = [v for v in range(1, g.n + 1) if v != w]
-    pos = {v: idx for idx, v in enumerate(keep)}
-    denoms = [
-        lap.entry(a, b).denominator
-        for a in keep
-        for b in keep
-        if lap.entry(a, b) != 0
-    ]
-    scale = lcm(*denoms) if denoms else 1
-    matrix = [
-        [int(lap.entry(a, b) * scale) for b in keep]
-        for a in keep
-    ]
-    rhs = [0] * len(keep)
+    scale, matrix = g.laplacian()
+    del matrix[w - 1]
+    for row in matrix:
+        del row[w - 1]
+    pos = {v: v - 1 if v < w else v - 2 for v in (i, j) if v != w}
+    rhs = [0] * (g.n - 1)
     if i != w:
         rhs[pos[i]] = scale
     if j != w:
@@ -126,16 +106,3 @@ def resistance_float(g: WeightedGraph, i: int, j: int) -> float:
     vec[i - 1] = 1.0
     vec[j - 1] = -1.0
     return float(vec @ pinv @ vec)
-
-
-def resistance_result(
-    g: WeightedGraph, i: int, j: int, method: str = "exact"
-) -> ResistanceResult:
-    """Resistance bundled with its method tag and the graph fingerprint."""
-    if method == "exact":
-        value: Fraction | float = resistance_exact(g, i, j)
-    elif method == "float":
-        value = resistance_float(g, i, j)
-    else:
-        raise ValueError(f"unknown oracle method {method!r}")
-    return ResistanceResult(value=value, method=method, graph_fingerprint=g.fingerprint())

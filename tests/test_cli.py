@@ -5,7 +5,16 @@ import io
 import json
 from fractions import Fraction
 
-from twotree import REGISTRY, bent_2tree, ratio_string
+import pytest
+
+from twotree import (
+    REGISTRY,
+    BentParams,
+    ReductionError,
+    bent_2tree,
+    bent_resistance_alternating,
+    ratio_string,
+)
 from twotree.cli import main
 from twotree.identities import Identity
 
@@ -85,8 +94,6 @@ def test_sweep_csv_round_trip(capsys):
     header, body = rows[0], rows[1:]
     exact_at = header.index("exact")
     n_at, k_at = header.index("n"), header.index("k")
-    from twotree import BentParams, bent_resistance_alternating
-
     for row in body:
         n, k = int(row[n_at]), int(row[k_at])
         expected = ratio_string(bent_resistance_alternating(BentParams(n, k)))
@@ -177,13 +184,13 @@ def test_reduce_bent_log_counts(capsys):
 
 def test_reduce_file_round_trip(capsys, tmp_path):
     path = tmp_path / "bent.txt"
-    path.write_text(bent_2tree(8, 4).to_text(), encoding="utf-8")
-    code, out, _ = run_cli(capsys, "reduce", "file", str(path), "--format", "json")
-    assert code == 0
-    record = json.loads(out.strip())
-    assert record["family"] == "bent"
-    assert record["k"] == 4
-    assert record["exact"] == "22/13"
+    for n, k in [(8, 4), (6, 3), (12, 9), (600, 597)]:
+        path.write_text(bent_2tree(n, k).to_text(), encoding="utf-8")
+        code, out, _ = run_cli(capsys, "reduce", "file", str(path), "--format", "json")
+        assert code == 0
+        record = json.loads(out.strip())
+        assert (record["family"], record["n"], record["k"]) == ("bent", n, k)
+        assert record["exact"] == ratio_string(bent_resistance_alternating(BentParams(n, k)))
 
 
 def test_sweep_fixed_policy_skips_out_of_range(capsys):
@@ -239,3 +246,39 @@ def test_digits_flag(capsys):
     assert code == 0
     record = json.loads(out.strip())
     assert record["decimal"] == "0.6667"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("resistance", "bent", "--n", "8", "--k", "4"),
+        ("sweep", "bent", "--n", "6:8", "--k-policy", "center"),
+    ],
+)
+def test_disagreeing_routes_exit_1(capsys, monkeypatch, argv):
+    monkeypatch.setattr("twotree.cli.reduce_bent", lambda n, k: (Fraction(1), None))
+    code, out, err = run_cli(capsys, *argv, "--format", "json")
+    assert code == 1
+    records = [json.loads(line) for line in out.strip().splitlines()]
+    assert records and all(r["agree"] is False for r in records)
+    assert all(r["methods"]["engine"] == "1/1" for r in records)
+    assert "disagree" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("resistance", "bent", "--n", "8", "--k", "4"),
+        ("sweep", "bent", "--n", "6:8"),
+        ("reduce", "bent", "8", "4"),
+    ],
+)
+def test_engine_invariant_failure_exits_1(capsys, monkeypatch, argv):
+    def broken(n, k):
+        raise ReductionError("tail bookkeeping disagrees with the collapsed circuit")
+
+    monkeypatch.setattr("twotree.cli.reduce_bent", broken)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "tail bookkeeping disagrees" in err
