@@ -40,23 +40,24 @@ class UsageError(ValueError):
     """Bad parameters; reported with a diagnostic and exit code 2."""
 
 
-def _bent_methods() -> dict:
-    return {
-        "alternating": lambda n, k, i, j: bent_resistance_alternating(BentParams(n, k)),
-        "product": lambda n, k, i, j: bent_resistance_product(BentParams(n, k)),
-        "engine": lambda n, k, i, j: reduce_bent(n, k)[0],
-        "exact": lambda n, k, i, j: resistance_exact(bent_2tree(n, k), i, j),
-        "float": lambda n, k, i, j: resistance_float(bent_2tree(n, k), i, j),
-    }
+# Each route takes (n, k, i, j, graph); `graph` is the chain the oracles
+# share, built once per record and only when an oracle runs.
+_BENT_METHODS = {
+    "alternating": lambda n, k, i, j, g: bent_resistance_alternating(BentParams(n, k)),
+    "product": lambda n, k, i, j, g: bent_resistance_product(BentParams(n, k)),
+    "engine": lambda n, k, i, j, g: reduce_bent(n, k)[0],
+    "exact": lambda n, k, i, j, g: resistance_exact(g, i, j),
+    "float": lambda n, k, i, j, g: resistance_float(g, i, j),
+}
 
+_STRAIGHT_METHODS = {
+    "formula": lambda n, k, i, j, g: straight_pair_resistance(n - 2, i, j - i),
+    "engine": lambda n, k, i, j, g: reduce_straight_state(n)[0],
+    "exact": lambda n, k, i, j, g: resistance_exact(g, i, j),
+    "float": lambda n, k, i, j, g: resistance_float(g, i, j),
+}
 
-def _straight_methods() -> dict:
-    return {
-        "formula": lambda n, k, i, j: straight_pair_resistance(n - 2, i, j - i),
-        "engine": lambda n, k, i, j: reduce_straight_state(n)[0],
-        "exact": lambda n, k, i, j: resistance_exact(straight_2tree(n), i, j),
-        "float": lambda n, k, i, j: resistance_float(straight_2tree(n), i, j),
-    }
+_ORACLES = ("exact", "float")
 
 
 def _applicable_methods(family: str, n: int, i: int, j: int) -> list[str]:
@@ -127,10 +128,13 @@ def build_record(
     methods: list[str],
     digits: int,
 ) -> dict:
-    table = _bent_methods() if family == "bent" else _straight_methods()
+    table = _BENT_METHODS if family == "bent" else _STRAIGHT_METHODS
+    graph = None
+    if any(tag in _ORACLES for tag in methods):
+        graph = bent_2tree(n, k) if family == "bent" else straight_2tree(n)
     values: dict[str, Fraction | float] = {}
     for tag in methods:
-        values[tag] = table[tag](n, k, i, j)
+        values[tag] = table[tag](n, k, i, j, graph)
     rational = {t: v for t, v in values.items() if isinstance(v, Fraction)}
     reference = next(iter(rational.values()), None)
     agree: Optional[bool] = None

@@ -1,10 +1,13 @@
 """Ground-truth effective resistance, exact and floating point.
 
-The exact path grounds one vertex, strikes its row and column from the
-Laplacian and solves the remaining system with fraction-free (Bareiss)
-elimination, so the hot loop is pure integer arithmetic.  The float path
-goes through the Moore-Penrose pseudoinverse and exists to cross-check the
-exact path, never to feed it.
+Both paths ground one vertex, strike its row and column from the Laplacian
+and solve the remaining system, which is symmetric positive definite on a
+connected graph.  The exact path solves it with fraction-free (Bareiss)
+elimination restricted to each row's envelope, so the hot loop is pure
+integer arithmetic and a banded chain costs O(n) big-integer operations.
+The float path builds its own float64 Laplacian and hands the grounded
+system to `numpy.linalg.solve`; it exists to cross-check the exact path,
+never to feed it.
 """
 
 from __future__ import annotations
@@ -15,41 +18,65 @@ import numpy as np
 
 from .graphs import GraphError, WeightedGraph
 
-FLOAT_VERTEX_GUARD = 2000
+# Both oracles hold a dense n x n Laplacian, so larger graphs are refused
+# before it is built.
+ORACLE_VERTEX_GUARD = 2000
 
 
-def _check_pair(g: WeightedGraph, i: int, j: int) -> None:
+def _check_query(g: WeightedGraph, i: int, j: int) -> None:
     if not (1 <= i <= g.n and 1 <= j <= g.n):
         raise GraphError(f"vertex pair ({i},{j}) out of range 1..{g.n}")
+    if g.n > ORACLE_VERTEX_GUARD:
+        raise GraphError(
+            f"the Laplacian oracles are guarded at n <= {ORACLE_VERTEX_GUARD}, got n = {g.n}"
+        )
 
 
-def _solve_fraction_free(matrix: list[list[int]], rhs: list[int]) -> list[Fraction]:
-    """Solve an integer linear system exactly via Bareiss elimination."""
-    size = len(matrix)
-    aug = [row[:] + [rhs[r]] for r, row in enumerate(matrix)]
-    prev = 1
-    for col in range(size):
-        pivot_row = next((r for r in range(col, size) if aug[r][col] != 0), None)
-        if pivot_row is None:
-            raise GraphError("singular system: the graph is not connected")
-        if pivot_row != col:
-            aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-        pivot = aug[col][col]
-        for r in range(col + 1, size):
-            factor = aug[r][col]
-            row_r = aug[r]
-            row_c = aug[col]
-            for c in range(col + 1, size + 1):
-                row_r[c] = (row_r[c] * pivot - factor * row_c[c]) // prev
-            row_r[col] = 0
+def _envelope_solve(upper: list[list[int]], lo: list[int], rhs: list[int]) -> tuple[list[int], int]:
+    """Solve A x = rhs for a symmetric positive definite integer matrix A.
+
+    `upper[r]` holds row r of A from the diagonal to hi[r], the last column
+    of its envelope; `lo[r]` is the first nonzero column of row r.  Returns
+    `(y, det)` with det = det(A) and y = det * x, both exact integers.
+
+    The values are those of dense Bareiss elimination, where every entry is
+    a minor of A and each division is exact.  Positive definiteness means
+    no pivoting, so fill stays inside the envelope and only rows r with
+    lo[r] <= k < r change at step k.  A row whose column k is still zero
+    would only be multiplied by p_k / p_{k-1}; those factors telescope, so
+    it is multiplied by p_{lo[r]-1} once, when it enters.  The active block
+    stays symmetric, so a row's factor at step k is the pivot row's entry in
+    its column and only the upper part of each row is kept.
+    """
+    size = len(upper)
+    b = rhs[:]
+    prev = 1  # the previous pivot p_{k-1}; p_{-1} = 1
+    for k in range(size):
+        width = len(upper[k])
+        for r in range(k, k + width):
+            if lo[r] == k:  # row r enters: its telescoped factor is p_{k-1}
+                upper[r] = [prev * v for v in upper[r]]
+                b[r] *= prev
+        row_k = upper[k]
+        pivot, b_k = row_k[0], b[k]
+        for r in range(k + 1, k + width):
+            if lo[r] > k:
+                continue
+            row_r, off = upper[r], r - k
+            f = row_k[off]
+            # hi[r] >= hi[k], so row r covers every column of the pivot row.
+            for c in range(width - off):
+                row_r[c] = (pivot * row_r[c] - f * row_k[off + c]) // prev
+            for c in range(width - off, len(row_r)):
+                row_r[c] = pivot * row_r[c] // prev
+            b[r] = (pivot * b[r] - f * b_k) // prev
         prev = pivot
-    x = [Fraction(0)] * size
+    y = [0] * size
     for r in range(size - 1, -1, -1):
-        acc = Fraction(aug[r][size])
-        for c in range(r + 1, size):
-            acc -= aug[r][c] * x[c]
-        x[r] = acc / aug[r][r]
-    return x
+        row = upper[r]
+        acc = prev * b[r] - sum(row[t] * y[r + t] for t in range(1, len(row)))
+        y[r] = acc // row[0]
+    return y, prev
 
 
 def resistance_exact(g: WeightedGraph, i: int, j: int, *, ground: int | None = None) -> Fraction:
@@ -58,7 +85,7 @@ def resistance_exact(g: WeightedGraph, i: int, j: int, *, ground: int | None = N
     Any vertex may be grounded; the answer is independent of the choice
     (the default grounds j).  Returns 0 for i == j without solving.
     """
-    _check_pair(g, i, j)
+    _check_query(g, i, j)
     if i == j:
         return Fraction(0)
     if not g.is_connected():
@@ -71,25 +98,34 @@ def resistance_exact(g: WeightedGraph, i: int, j: int, *, ground: int | None = N
     del matrix[w - 1]
     for row in matrix:
         del row[w - 1]
-    pos = {v: v - 1 if v < w else v - 2 for v in (i, j) if v != w}
-    rhs = [0] * (g.n - 1)
+    size = g.n - 1
+    pos = {v: v - 1 if v < w else v - 2 for v in range(1, g.n + 1) if v != w}
+    # Off the diagonal, the nonzeros of the Laplacian are exactly the edges.
+    lo = list(range(size))
+    for a, b, _ in g.edges:
+        if w not in (a, b):
+            lo[pos[b]] = min(lo[pos[b]], pos[a])
+    hi = list(range(size))
+    for r in range(size):
+        hi[lo[r]] = max(hi[lo[r]], r)
+    for r in range(1, size):
+        hi[r] = max(hi[r], hi[r - 1])
+    upper = [matrix[r][r : hi[r] + 1] for r in range(size)]
+
+    rhs = [0] * size
     if i != w:
         rhs[pos[i]] = scale
     if j != w:
         rhs[pos[j]] = -scale
-    x = _solve_fraction_free(matrix, rhs)
-    xi = x[pos[i]] if i != w else Fraction(0)
-    xj = x[pos[j]] if j != w else Fraction(0)
-    return xi - xj
+    y, det = _envelope_solve(upper, lo, rhs)
+    yi = y[pos[i]] if i != w else 0
+    yj = y[pos[j]] if j != w else 0
+    return Fraction(yi - yj, det)
 
 
 def resistance_float(g: WeightedGraph, i: int, j: int) -> float:
-    """Effective resistance via the pseudoinverse of the Laplacian (float64)."""
-    _check_pair(g, i, j)
-    if g.n > FLOAT_VERTEX_GUARD:
-        raise GraphError(
-            f"float oracle is guarded at n <= {FLOAT_VERTEX_GUARD}, got n = {g.n}"
-        )
+    """Effective resistance from a float64 solve of the Laplacian grounded at j."""
+    _check_query(g, i, j)
     if i == j:
         return 0.0
     if not g.is_connected():
@@ -101,8 +137,10 @@ def resistance_float(g: WeightedGraph, i: int, j: int) -> float:
         lap[b - 1, a - 1] -= w
         lap[a - 1, a - 1] += w
         lap[b - 1, b - 1] += w
-    pinv = np.linalg.pinv(lap)
-    vec = np.zeros(g.n)
-    vec[i - 1] = 1.0
-    vec[j - 1] = -1.0
-    return float(vec @ pinv @ vec)
+    # Grounding j: its potential is pinned to 0 and drops out of every other row.
+    lap[j - 1, :] = 0.0
+    lap[:, j - 1] = 0.0
+    lap[j - 1, j - 1] = 1.0
+    current = np.zeros(g.n)
+    current[i - 1] = 1.0
+    return float(np.linalg.solve(lap, current)[i - 1])

@@ -15,6 +15,7 @@ from twotree import (
     bent_resistance_alternating,
     ratio_string,
 )
+from twotree import cli
 from twotree.cli import main
 from twotree.identities import Identity
 
@@ -282,3 +283,31 @@ def test_engine_invariant_failure_exits_1(capsys, monkeypatch, argv):
     assert code == 1
     assert out == ""
     assert "tail bookkeeping disagrees" in err
+
+
+@pytest.mark.parametrize(
+    "family,make_chain,argv,methods,builds",
+    [
+        ("bent", "bent_2tree", ("--n", "8", "--k", "4"), "all", 1),
+        ("bent", "bent_2tree", ("--n", "8", "--k", "4"), "default", 0),
+        ("straight", "straight_2tree", ("--n", "9", "--i", "2", "--j", "5"), "all", 1),
+        ("straight", "straight_2tree", ("--n", "9", "--i", "2", "--j", "5"), "default", 1),
+    ],
+)
+def test_oracles_share_one_chain(capsys, monkeypatch, family, make_chain, argv, methods, builds):
+    made = []
+    real = getattr(cli, make_chain)
+    monkeypatch.setattr(cli, make_chain, lambda *a: made.append(a) or real(*a))
+    code, out, _ = run_cli(capsys, "resistance", family, *argv, "--methods", methods, "--format", "json")
+    assert code == 0
+    assert json.loads(out)["agree"] is True
+    assert len(made) == builds
+
+
+def test_oversized_exact_request_is_usage_error(capsys):
+    code, out, err = run_cli(
+        capsys, "resistance", "straight", "--n", "2001", "--i", "2", "--j", "9", "--methods", "exact"
+    )
+    assert code == 2
+    assert out == ""
+    assert "guarded at n <= 2000" in err

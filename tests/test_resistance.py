@@ -1,4 +1,4 @@
-"""Resistance oracles: exact grounded solve and float pseudoinverse.
+"""Resistance oracles: exact envelope solve and float grounded solve.
 
 The independent check here is a plain rational Gaussian elimination written
 directly in the test, so the fraction-free production path is never its own
@@ -12,9 +12,13 @@ from fractions import Fraction
 import pytest
 
 from twotree import (
+    BentParams,
     GraphError,
     WeightedGraph,
     bent_2tree,
+    bent_resistance_product,
+    fib,
+    lucas,
     resistance_exact,
     resistance_float,
     straight_2tree,
@@ -107,6 +111,55 @@ def test_symmetry_and_grounding_invariance():
         assert resistance_exact(g, 1, 9, ground=ground) == base
 
 
+def _check_every_ground(g, expected):
+    for (i, j), value in expected.items():
+        assert _resistance_plain_gauss(g, i, j) == value
+        for ground in range(1, g.n + 1):
+            assert resistance_exact(g, i, j, ground=ground) == value
+
+
+def test_star_centred_at_last_vertex():
+    # Every leaf row has no nonzero left of its diagonal (lo[r] == r) and the
+    # centre's row spans the whole profile.
+    weights = [Fraction(1), Fraction(2, 3), Fraction(5), Fraction(7, 4), Fraction(3, 8)]
+    g = WeightedGraph(6, [(v, 6, w) for v, w in enumerate(weights, start=1)])
+    expected = {(a, b): 1 / weights[a - 1] + 1 / weights[b - 1] for a, b in [(1, 2), (3, 5), (4, 1)]}
+    expected.update({(a, 6): 1 / weights[a - 1] for a in (2, 5)})
+    _check_every_ground(g, expected)
+
+
+def test_path_labelled_from_n_down_to_1():
+    # Grounding an inner vertex leaves the next row with lo[r] == r.
+    n = 7
+    weights = {v: Fraction(v, 3) for v in range(1, n)}  # on edge {v, v + 1}
+    g = WeightedGraph(n, [(v + 1, v, weights[v]) for v in range(n - 1, 0, -1)])
+    expected = {
+        (i, j): sum((1 / weights[v] for v in range(min(i, j), max(i, j))), Fraction(0))
+        for i, j in [(7, 1), (2, 6), (5, 4)]
+    }
+    _check_every_ground(g, expected)
+
+
+def test_complete_graph_full_profile():
+    rng = random.Random(3)
+    edges = [
+        (a, b, Fraction(rng.randint(1, 9), rng.randint(1, 9)))
+        for a, b in itertools.combinations(range(1, 7), 2)
+    ]
+    g = WeightedGraph(6, edges)
+    expected = {(i, j): _resistance_plain_gauss(g, i, j) for i, j in [(1, 6), (2, 3), (5, 1)]}
+    _check_every_ground(g, expected)
+
+
+def test_exact_at_the_guard_size():
+    n = 2000
+    bent = resistance_exact(bent_2tree(n, 1000), 1, n)
+    assert bent == bent_resistance_product(BentParams(n, 1000))
+    m = n - 2
+    straight = Fraction(m + 1, 5) + Fraction(4 * fib(m + 1), 5 * lucas(m + 1))
+    assert resistance_exact(straight_2tree(n), 1, n) == straight
+
+
 def test_triangle_inequality_exhaustive():
     for g in (straight_2tree(10), bent_2tree(10, 4)):
         values = {}
@@ -143,3 +196,10 @@ def test_float_guard():
     with pytest.raises(GraphError):
         resistance_float(FakeBig(), 1, 2)
 
+
+def test_exact_guard():
+    class FakeBig:
+        n = 2001
+
+    with pytest.raises(GraphError):
+        resistance_exact(FakeBig(), 1, 2)
