@@ -62,12 +62,9 @@ _ORACLES = ("exact", "float")
 
 def _applicable_methods(family: str, n: int, i: int, j: int) -> list[str]:
     if family == "bent":
-        return ["alternating", "product", "engine", "exact", "float"]
-    methods = ["formula"]
-    if (i, j) == (1, n):
-        methods.append("engine")
-    methods.extend(["exact", "float"])
-    return methods
+        return list(_BENT_METHODS)
+    # The straight engine reduces the whole chain, so it only gives r(1, n).
+    return [m for m in _STRAIGHT_METHODS if m != "engine" or (i, j) == (1, n)]
 
 
 def _default_methods(family: str, n: int, i: int, j: int) -> list[str]:
@@ -135,6 +132,20 @@ def build_record(
     values: dict[str, Fraction | float] = {}
     for tag in methods:
         values[tag] = table[tag](n, k, i, j, graph)
+    return _record_from_values(command, family, n, k, i, j, values, digits)
+
+
+def _record_from_values(
+    command: str,
+    family: str,
+    n: int,
+    k: Optional[int],
+    i: int,
+    j: int,
+    values: dict[str, Fraction | float],
+    digits: int,
+) -> dict:
+    """One output record: the first exact value, and whether all routes agree."""
     rational = {t: v for t, v in values.items() if isinstance(v, Fraction)}
     reference = next(iter(rational.values()), None)
     agree: Optional[bool] = None
@@ -315,25 +326,9 @@ def _cmd_reduce(args, out) -> int:
 
     if args.what == "straight":
         value, state = reduce_straight_state(n)
-        i, j = 1, n
-        family = "straight"
     else:
         value, state = reduce_bent(n, k)
-        i, j = 1, n
-        family = "bent"
-
-    record = {
-        "command": "reduce",
-        "family": family,
-        "n": n,
-        "k": k,
-        "i": i,
-        "j": j,
-        "exact": ratio_string(value),
-        "decimal": decimal_string(value, args.digits),
-        "methods": {"engine": ratio_string(value)},
-        "agree": None,
-    }
+    record = _record_from_values("reduce", args.what, n, k, 1, n, {"engine": value}, args.digits)
     emit_records([record], args.format, out)
     if args.emit_log:
         for step in state.log:
@@ -345,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="twotree",
         description="Exact resistance distance in straight and bent linear 2-trees.",
-        epilog="Environment: TWO_TREE_CACHE_LIMIT caps the sequence cache index.",
+        epilog="Environment: TWO_TREE_CACHE_LIMIT caps the largest sequence index served.",
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
 

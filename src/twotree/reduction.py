@@ -233,23 +233,14 @@ class ReductionState:
 
 
 def reduce_straight_chain(steps: int) -> list[TailTriple]:
-    """Tail triples of repeated transform-merge-rename on a unit chain.
+    """Tail triples of `steps` transform-merge rounds on a unit straight chain.
 
-    Works on the frontier pair (r(anchor, middle), r(anchor, far)) alone,
-    which is all the transform ever sees on an infinite unit chain.
+    These are the left tails the engine records when it reduces the straight
+    chain on steps + 2 vertices.
     """
     if steps < 1:
         raise ReductionError("at least one reduction step is required")
-    out = []
-    a = b = Fraction(1)
-    for j in range(1, steps + 1):
-        total = a + b + 1
-        t = a * b / total
-        s = a / total
-        new_b = b / total
-        out.append(TailTriple(j=j, t=t, s=s, b=new_b))
-        a, b = new_b, s + 1
-    return out
+    return reduce_straight_state(steps + 2)[1].left_tails
 
 
 def _run_side(

@@ -14,15 +14,14 @@ import threading
 ENV_CACHE_LIMIT = "TWO_TREE_CACHE_LIMIT"
 DEFAULT_INDEX_LIMIT = 2_000_000
 
-# Contiguous sweeps stay inside the bottom-up tables; isolated indices past
-# the cutoff go through fast doubling so the tables never balloon.
+# Indices up to the cutoff are served from bottom-up tables.  Past it, fast
+# doubling recomputes each value on every call and stores nothing, so memory
+# stays bounded whatever indices are asked for.
 _FILL_CUTOFF = 25_000
 
 _lock = threading.Lock()
 _fib_table = [0, 1]
 _lucas_table = [2, 1]
-_fib_sparse: dict[int, int] = {}
-_lucas_sparse: dict[int, int] = {}
 
 
 def index_limit() -> int:
@@ -45,60 +44,37 @@ def _check_index(n: int) -> None:
         raise ValueError(f"sequence index {n} exceeds the cache limit {limit}")
 
 
-def _fill_fib(r: int) -> None:
-    with _lock:
-        a, b = _fib_table[-2], _fib_table[-1]
-        while len(_fib_table) <= r:
-            a, b = b, a + b
-            _fib_table.append(b)
-
-
-def _fill_lucas(r: int) -> None:
-    with _lock:
-        a, b = _lucas_table[-2], _lucas_table[-1]
-        while len(_lucas_table) <= r:
-            a, b = b, a + b
-            _lucas_table.append(b)
+def _table_pair(table: list[int], r: int) -> tuple[int, int]:
+    """(X_r, X_{r+1}) from a bottom-up table, growing it by the recurrence."""
+    if len(table) <= r + 1:
+        with _lock:
+            a, b = table[-2], table[-1]
+            while len(table) <= r + 1:
+                a, b = b, a + b
+                table.append(b)
+    return table[r], table[r + 1]
 
 
 def _fib_pair(r: int) -> tuple[int, int]:
-    """(F_r, F_{r+1}) by fast doubling, memoised per visited index."""
+    """(F_r, F_{r+1}): from the table up to the cutoff, by fast doubling past it."""
     if r <= _FILL_CUTOFF:
-        if len(_fib_table) <= r + 1:
-            _fill_fib(r + 1)
-        return _fib_table[r], _fib_table[r + 1]
-    lo, hi = _fib_sparse.get(r), _fib_sparse.get(r + 1)
-    if lo is not None and hi is not None:
-        return lo, hi
+        return _table_pair(_fib_table, r)
     fh, fh1 = _fib_pair(r >> 1)
     f_even = fh * (2 * fh1 - fh)      # F_{2h}
     f_odd = fh * fh + fh1 * fh1       # F_{2h+1}
-    pair = (f_even, f_odd) if r % 2 == 0 else (f_odd, f_even + f_odd)
-    with _lock:
-        _fib_sparse[r] = pair[0]
-        _fib_sparse[r + 1] = pair[1]
-    return pair
+    return (f_even, f_odd) if r % 2 == 0 else (f_odd, f_even + f_odd)
 
 
 def _lucas_pair(r: int) -> tuple[int, int]:
-    """(L_r, L_{r+1}) by fast doubling on the Lucas sequence itself."""
+    """(L_r, L_{r+1}): from the table up to the cutoff, by Lucas doubling past it."""
     if r <= _FILL_CUTOFF:
-        if len(_lucas_table) <= r + 1:
-            _fill_lucas(r + 1)
-        return _lucas_table[r], _lucas_table[r + 1]
-    lo, hi = _lucas_sparse.get(r), _lucas_sparse.get(r + 1)
-    if lo is not None and hi is not None:
-        return lo, hi
+        return _table_pair(_lucas_table, r)
     h = r >> 1
     lh, lh1 = _lucas_pair(h)
     sign = -1 if h % 2 else 1
     l_even = lh * lh - 2 * sign       # L_{2h}
     l_odd = lh * lh1 - sign           # L_{2h+1}
-    pair = (l_even, l_odd) if r % 2 == 0 else (l_odd, l_even + l_odd)
-    with _lock:
-        _lucas_sparse[r] = pair[0]
-        _lucas_sparse[r + 1] = pair[1]
-    return pair
+    return (l_even, l_odd) if r % 2 == 0 else (l_odd, l_even + l_odd)
 
 
 def fib(n: int) -> int:
@@ -109,9 +85,6 @@ def fib(n: int) -> int:
     _check_index(n)
     r = abs(n)
     if r < len(_fib_table):
-        value = _fib_table[r]
-    elif r <= _FILL_CUTOFF:
-        _fill_fib(r)
         value = _fib_table[r]
     else:
         value = _fib_pair(r)[0]
@@ -128,9 +101,6 @@ def lucas(n: int) -> int:
     _check_index(n)
     r = abs(n)
     if r < len(_lucas_table):
-        value = _lucas_table[r]
-    elif r <= _FILL_CUTOFF:
-        _fill_lucas(r)
         value = _lucas_table[r]
     else:
         value = _lucas_pair(r)[0]

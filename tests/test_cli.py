@@ -181,6 +181,10 @@ def test_reduce_bent_log_counts(capsys):
     right = [s for s in steps if s["kind"] == "delta_y" and s["side"] == "right"]
     assert (len(left), len(right)) == (2, 3)
     assert sum(1 for s in steps if s["kind"] == "parallel") == 1
+    assert record["agree"] is None
+    code, out, _ = run_cli(capsys, "resistance", "bent", "--n", "8", "--k", "4", "--format", "json")
+    assert code == 0
+    assert set(record) == set(json.loads(out.strip()))
 
 
 def test_reduce_file_round_trip(capsys, tmp_path):

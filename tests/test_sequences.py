@@ -1,9 +1,11 @@
 """Fibonacci and Lucas generators over signed indices."""
 
+import tracemalloc
+
 import pytest
 
 from twotree import fib, lucas
-from twotree.sequences import ENV_CACHE_LIMIT, index_limit
+from twotree.sequences import _FILL_CUTOFF, ENV_CACHE_LIMIT, index_limit
 
 
 def test_fib_examples():
@@ -58,6 +60,33 @@ def test_doubling_and_table_routes_agree():
     m, k = 2_000, 25_000
     assert fib(m + k) == fib(m) * fib(k + 1) + fib(m - 1) * fib(k)
     assert lucas(m + k) * 2 == lucas(m) * lucas(k) + 5 * fib(m) * fib(k)
+
+
+def test_rules_hold_across_the_table_cutoff():
+    # 4 * cutoff + 3 takes two doubling steps, one of them from an odd index.
+    for r in (*range(_FILL_CUTOFF - 1, _FILL_CUTOFF + 3), 4 * _FILL_CUTOFF + 3):
+        assert fib(r) == fib(r - 1) + fib(r - 2)
+        assert lucas(r) == lucas(r - 1) + lucas(r - 2)
+        assert fib(-r) == fib(2 - r) - fib(1 - r)
+        assert lucas(-r) == lucas(2 - r) - lucas(1 - r)
+        assert fib(-r) == (fib(r) if r % 2 == 1 else -fib(r))
+        assert lucas(-r) == (lucas(r) if r % 2 == 0 else -lucas(r))
+
+
+def test_indices_past_the_cutoff_are_not_stored():
+    fib(_FILL_CUTOFF)
+    lucas(_FILL_CUTOFF)
+    tracemalloc.start()
+    try:
+        for step in range(100):
+            fib(_FILL_CUTOFF + 10 + 37 * step)
+            lucas(-(_FILL_CUTOFF + 11 + 41 * step))
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # Each value here is about 2 KB, so storing even a few per call would
+    # retain hundreds of KB.
+    assert retained < 64 * 1024
 
 
 def test_concurrent_readers_consistent():
