@@ -104,10 +104,15 @@ def bent_resistance_product(params: BentParams) -> Fraction:
     return core + tail_sum(params.p) + tail_sum(ell)
 
 
+def _alternating_summand(m: int, j: int, f_m2: int) -> int:
+    """The j-th signed summand, given f_m2 = F_{m+2}, which every summand shares."""
+    sign = -1 if j % 2 else 1
+    return sign * fib(m - 2 * j + 3) * (f_m2 + fib(j - 2) * fib(m - j + 1))
+
+
 def alternating_term(m: int, j: int) -> int:
     """The j-th signed summand of the alternating bent-chain form (an integer)."""
-    sign = -1 if j % 2 else 1
-    return sign * fib(m - 2 * j + 3) * (fib(m + 2) + fib(j - 2) * fib(m - j + 1))
+    return _alternating_summand(m, j, fib(m + 2))
 
 
 def bent_resistance_alternating(params: BentParams) -> Fraction:
@@ -118,7 +123,8 @@ def bent_resistance_alternating(params: BentParams) -> Fraction:
     negative; the signed-index extension handles them.
     """
     m, k = params.m, params.k
-    swing = sum(alternating_term(m, j) for j in range(3, k + 1))
+    f_m2 = fib(m + 2)
+    swing = sum(_alternating_summand(m, j, f_m2) for j in range(3, k + 1))
     return (
         Fraction(m + 1, 5)
         + Fraction(4 * fib(m + 1), 5 * lucas(m + 1))

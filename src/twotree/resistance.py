@@ -7,14 +7,13 @@ elimination restricted to each row's envelope, so the hot loop is pure
 integer arithmetic and a banded chain costs O(n) big-integer operations.
 The float path builds its own float64 Laplacian and hands the grounded
 system to `numpy.linalg.solve`; it exists to cross-check the exact path,
-never to feed it.
+never to feed it.  numpy is imported only when the float path runs, so
+importing this module (and the package) does not load it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-
-import numpy as np
 
 from .graphs import GraphError, WeightedGraph
 
@@ -130,6 +129,9 @@ def resistance_float(g: WeightedGraph, i: int, j: int) -> float:
         return 0.0
     if not g.is_connected():
         raise GraphError("resistance is undefined on a disconnected graph")
+    # Imported here, after every refusal, so only a float solve pays for numpy.
+    import numpy as np
+
     lap = np.zeros((g.n, g.n))
     for a, b, wgt in g.edges:
         w = float(wgt)

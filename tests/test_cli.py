@@ -3,7 +3,11 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -309,9 +313,55 @@ def test_oracles_share_one_chain(capsys, monkeypatch, family, make_chain, argv, 
 
 
 def test_oversized_exact_request_is_usage_error(capsys):
-    code, out, err = run_cli(
-        capsys, "resistance", "straight", "--n", "2001", "--i", "2", "--j", "9", "--methods", "exact"
+    for method in ("exact", "float"):
+        code, out, err = run_cli(
+            capsys, "resistance", "straight", "--n", "2001", "--i", "2", "--j", "9", "--methods", method
+        )
+        assert code == 2
+        assert out == ""
+        assert "guarded at n <= 2000" in err
+
+
+# Runs in a fresh interpreter, since this test session has already loaded numpy.
+# After each step it records the exit code, the stdout and whether numpy is loaded.
+_NUMPY_PROBE = """
+import contextlib, io, json, sys
+import twotree
+from twotree.cli import main
+
+steps = [("import", None, "numpy" in sys.modules)]
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    steps.append((argv, code, "numpy" in sys.modules, out.getvalue()))
+print(json.dumps(steps))
+"""
+
+
+def test_numpy_loads_only_for_the_float_oracle():
+    argvs = [
+        ["resistance", "bent", "--n", "8", "--k", "4", "--format", "json"],
+        ["resistance", "straight", "--n", "12", "--i", "2", "--j", "9", "--format", "json"],
+        ["reduce", "bent", "8", "4"],
+        ["resistance", "straight", "--n", "2001", "--i", "2", "--j", "9", "--methods", "float"],
+        ["resistance", "bent", "--n", "8", "--k", "4", "--methods", "all", "--format", "json"],
+    ]
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", _NUMPY_PROBE, json.dumps(argvs)],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=120,
     )
-    assert code == 2
-    assert out == ""
-    assert "guarded at n <= 2000" in err
+    assert proc.returncode == 0, proc.stderr
+    imported, default_bent, interior, reduce_, refused, everything = json.loads(proc.stdout)
+    assert imported[2] is False
+    for _, code, numpy_loaded, _ in (default_bent, interior, reduce_):
+        assert code == 0
+        assert numpy_loaded is False
+    assert "exact" in json.loads(interior[3])["methods"]
+    assert refused[1:3] == [2, False]
+    _, code, numpy_loaded, out = everything
+    assert code == 0
+    assert numpy_loaded is True
+    record = json.loads(out)
+    assert "float" in record["methods"] and record["agree"] is True
