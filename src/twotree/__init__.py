@@ -32,11 +32,9 @@ from .identities import (
     run_all,
 )
 from .rational import (
-    Rational,
     as_rational,
     decimal_string,
     parallel_combine,
-    parse_ratio,
     ratio_string,
     series_combine,
 )
@@ -47,7 +45,6 @@ from .reduction import (
     TailTriple,
     delta_y,
     reduce_bent,
-    reduce_straight,
     reduce_straight_chain,
     reduce_straight_state,
 )
@@ -63,7 +60,6 @@ __all__ = [
     "IdentityReport",
     "PROFILES",
     "REGISTRY",
-    "Rational",
     "ReductionError",
     "ReductionState",
     "StepRecord",
@@ -82,10 +78,8 @@ __all__ = [
     "index_limit",
     "lucas",
     "parallel_combine",
-    "parse_ratio",
     "ratio_string",
     "reduce_bent",
-    "reduce_straight",
     "reduce_straight_chain",
     "reduce_straight_state",
     "replay_counterexample",

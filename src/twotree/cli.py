@@ -32,6 +32,9 @@ from .resistance import resistance_exact, resistance_float
 
 FLOAT_RELATIVE_TOLERANCE = 1e-9
 ORACLE_DEFAULT_CUTOFF = 200
+# A sweep holds every record in memory until it prints them, so larger
+# grids are refused before any record is computed.
+MAX_SWEEP_RECORDS = 10_000
 
 CSV_COLUMNS = ("command", "family", "n", "k", "i", "j", "exact", "decimal", "methods", "agree")
 
@@ -246,26 +249,38 @@ def _parse_span(text: str) -> tuple[int, int]:
     return lo, hi
 
 
+def _sweep_size(family: str, lo: int, hi: int, policy: str, k: Optional[int]) -> int:
+    """Number of records a sweep over n in [lo, hi] produces, in O(1)."""
+    rows = hi - lo + 1
+    if family == "straight" or policy == "center":
+        return rows
+    if policy == "fixed":
+        return max(0, hi - max(lo, k + 3) + 1) if k >= 3 else 0
+    return rows * (lo + hi - 10) // 2  # n - 5 bends at each n
+
+
 def _cmd_sweep(args, out) -> int:
     lo, hi = _parse_span(args.n)
     if args.family == "straight" and args.k is not None:
         raise UsageError("--k applies to the bent family only")
+    least = 3 if args.family == "straight" else 6
+    if lo < least:
+        raise UsageError(f"{args.family} chains need n >= {least}")
+    if args.family == "bent" and args.k_policy == "fixed" and args.k is None:
+        raise UsageError("k-policy 'fixed' needs --k")
+    size = _sweep_size(args.family, lo, hi, args.k_policy, args.k)
+    if size > MAX_SWEEP_RECORDS:
+        raise UsageError(f"sweep of {size} records exceeds MAX_SWEEP_RECORDS = {MAX_SWEEP_RECORDS}")
     records = []
     for n in range(lo, hi + 1):
         if args.family == "straight":
-            if n < 3:
-                raise UsageError("straight chains need n >= 3")
             i, j = 1, n
             methods = _resolve_methods(args.methods, "straight", n, i, j)
             records.append(build_record("sweep", "straight", n, None, i, j, methods, args.digits))
             continue
-        if n < 6:
-            raise UsageError("bent chains need n >= 6")
         if args.k_policy == "all":
             bends = range(3, n - 2)
         elif args.k_policy == "fixed":
-            if args.k is None:
-                raise UsageError("k-policy 'fixed' needs --k")
             bends = [args.k] if 3 <= args.k <= n - 3 else []
         else:  # center
             bends = [min(max(3, n // 2), n - 3)]

@@ -7,9 +7,9 @@ independent confirmations.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .sequences import fib, lucas
 
@@ -66,20 +66,22 @@ def straight_pair_resistance(m: int, j: int, k: int) -> Fraction:
     return Fraction(total, fib(2 * m + 2))
 
 
-_tail_prefix = [Fraction(0)]
-_tail_lock = threading.Lock()
-
-
 def tail_sum(j: int) -> Fraction:
-    """Partial sum of F_i F_{i+1} / (L_i L_{i+1}) for i = 1..j, exactly."""
+    """Partial sum of F_i F_{i+1} / (L_i L_{i+1}) for i = 1..j, exactly.
+
+    Steps F and L by their recurrences and adds the terms one by one in
+    lowest terms, storing nothing: the independent side of the closed form.
+    """
     if j < 0:
         raise ValueError("tail sums are defined for j >= 0")
-    if j >= len(_tail_prefix):
-        with _tail_lock:
-            for i in range(len(_tail_prefix), j + 1):
-                term = Fraction(fib(i) * fib(i + 1), lucas(i) * lucas(i + 1))
-                _tail_prefix.append(_tail_prefix[-1] + term)
-    return _tail_prefix[j]
+    num, den = 0, 1
+    f, f_next, l, l_next = 1, 1, 1, 3  # F_1, F_2, L_1, L_2
+    for _ in range(j):
+        num, den = num * l * l_next + f * f_next * den, den * l * l_next
+        g = gcd(num, den)
+        num, den = num // g, den // g
+        f, f_next, l, l_next = f_next, f + f_next, l_next, l + l_next
+    return Fraction(num, den)
 
 
 def tail_sum_closed_form(j: int) -> Fraction:
@@ -93,7 +95,8 @@ def bent_resistance_product(params: BentParams) -> Fraction:
     """End-to-end bent-chain resistance in product form.
 
     A ratio of two Fibonacci quadratics over F_{2k-2} F_{2l+2} F_{2m+2},
-    plus the two tail sums accumulated by the side reductions.
+    plus the two tail sums accumulated by the side reductions, each in
+    closed form.
     """
     k, ell, m = params.k, params.ell, params.m
     f2l = fib(2 * ell + 2)
@@ -101,7 +104,7 @@ def bent_resistance_product(params: BentParams) -> Fraction:
     first = f2l * fib(k - 1) ** 2 + f2k * fib(ell) ** 2
     second = f2l * fib(k - 2) ** 2 + f2k * fib(ell + 1) ** 2 + f2k * f2l
     core = Fraction(first * second, f2k * f2l * fib(2 * m + 2))
-    return core + tail_sum(params.p) + tail_sum(ell)
+    return core + tail_sum_closed_form(params.p) + tail_sum_closed_form(ell)
 
 
 def _alternating_summand(m: int, j: int, f_m2: int) -> int:

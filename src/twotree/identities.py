@@ -308,8 +308,6 @@ REGISTRY: dict[str, Identity] = {
     ]
 }
 
-RUN_ALL_COUNT = sum(1 for e in REGISTRY.values() if e.in_run_all)
-
 
 @dataclass(frozen=True)
 class IdentityReport:

@@ -10,8 +10,6 @@ from __future__ import annotations
 import decimal
 from fractions import Fraction
 
-Rational = Fraction
-
 
 def as_rational(value: Fraction | int | str) -> Fraction:
     """Coerce an int, a "num/den" string, or a Fraction to an exact Fraction.
@@ -48,11 +46,6 @@ def ratio_string(value: Fraction) -> str:
     """Render as "num/den", always including the denominator ("0/1", "6/5")."""
     q = as_rational(value)
     return f"{q.numerator}/{q.denominator}"
-
-
-def parse_ratio(text: str) -> Fraction:
-    """Inverse of ratio_string; also accepts bare integers."""
-    return Fraction(text.strip())
 
 
 def decimal_string(value: Fraction, digits: int = 12) -> str:

@@ -314,12 +314,6 @@ def reduce_straight_state(
     return value, state
 
 
-def reduce_straight(n: int, observer: Optional[Observer] = None) -> Fraction:
-    """Resistance between vertices 1 and n of the straight 2-tree."""
-    value, _ = reduce_straight_state(n, observer)
-    return value
-
-
 def reduce_bent(
     n: int, k: int, observer: Optional[Observer] = None
 ) -> tuple[Fraction, ReductionState]:

@@ -212,6 +212,44 @@ def test_sweep_fixed_policy_skips_out_of_range(capsys):
     assert [(r["n"], r["k"]) for r in records] == [(7, 4), (8, 4), (9, 4)]
 
 
+def test_oversized_sweep_is_refused_before_any_record(capsys, monkeypatch):
+    def no_records(*args):
+        pytest.fail("an oversized sweep computed a record")
+
+    monkeypatch.setattr(cli, "build_record", no_records)
+    for argv in (
+        ("bent", "--n", "6:100000"),
+        ("bent", "--n", "6:100000", "--k-policy", "center"),
+        ("bent", "--n", "6:100000", "--k-policy", "fixed", "--k", "4"),
+        ("straight", "--n", "3:100000"),
+    ):
+        code, out, err = run_cli(capsys, "sweep", *argv)
+        assert code == 2
+        assert out == ""
+        assert "MAX_SWEEP_RECORDS" in err
+
+
+@pytest.mark.parametrize(
+    "argv, size",
+    [
+        (("bent", "--n", "6:9"), 10),  # 1 + 2 + 3 + 4 bends
+        (("bent", "--n", "6:15", "--k-policy", "center"), 10),
+        (("bent", "--n", "6:16", "--k-policy", "fixed", "--k", "6"), 8),  # n = 9..16
+        (("straight", "--n", "3:12"), 10),
+    ],
+)
+def test_sweep_bound_counts_records_exactly(capsys, monkeypatch, argv, size):
+    monkeypatch.setattr(cli, "MAX_SWEEP_RECORDS", size)
+    code, out, _ = run_cli(capsys, "sweep", *argv, "--format", "json")
+    assert code == 0
+    assert len(out.splitlines()) == size
+    monkeypatch.setattr(cli, "MAX_SWEEP_RECORDS", size - 1)
+    code, out, err = run_cli(capsys, "sweep", *argv, "--format", "json")
+    assert code == 2
+    assert out == ""
+    assert "MAX_SWEEP_RECORDS" in err
+
+
 def test_reduce_straight_file(capsys, tmp_path):
     from twotree import straight_2tree
 

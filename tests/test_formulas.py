@@ -1,5 +1,6 @@
 """Closed-form resistance values against the independent oracles."""
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,7 @@ from twotree import (
     fib,
     lucas,
     reduce_bent,
-    reduce_straight,
+    reduce_straight_state,
     resistance_exact,
     straight_2tree,
     straight_pair_resistance,
@@ -76,6 +77,23 @@ def test_bent_product_spot_values():
     assert tail_sum(BentParams(6, 3).p) == Fraction(1, 3)
 
 
+def test_product_form_retains_nothing():
+    n = 8000
+    # Warm the sequence tables past every index read below, F(2n - 2) at most.
+    fib(2 * n)
+    lucas(2 * n)
+    tracemalloc.start()
+    try:
+        for k in (3, n // 2):
+            bent_resistance_product(BentParams(n, k))
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # A stored prefix of tail sums up to j = n - 4 would hold thousands of
+    # multi-KB fractions, megabytes in all.
+    assert retained < 64 * 1024
+
+
 def test_bent_alternating_spot_values():
     # term-by-term: 1 + 4/11 - 9/55 for the smallest bent chain
     p = BentParams(6, 3)
@@ -114,7 +132,7 @@ def test_forms_match_engine_full_range():
 
 def test_straight_formula_consistency_with_engine():
     for m in range(1, 61):
-        assert straight_pair_resistance(m, 1, m + 1) == reduce_straight(m + 2)
+        assert straight_pair_resistance(m, 1, m + 1) == reduce_straight_state(m + 2)[0]
 
 
 def test_telescoping_small_sweep():

@@ -12,7 +12,15 @@ from math import lcm
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twotree import WeightedGraph, resistance_exact, resistance_float
+from twotree import (
+    BentParams,
+    WeightedGraph,
+    bent_resistance_alternating,
+    bent_resistance_product,
+    reduce_bent,
+    resistance_exact,
+    resistance_float,
+)
 
 from test_resistance import _resistance_plain_gauss
 
@@ -72,3 +80,19 @@ def test_float_oracle_within_tolerance(g, data):
     i, j = data.draw(st.lists(st.integers(1, g.n), min_size=2, max_size=2, unique=True))
     exact = resistance_exact(g, i, j)
     assert abs(resistance_float(g, i, j) - float(exact)) <= 1e-9 * float(exact)
+
+
+@st.composite
+def bent_chains(draw):
+    n = draw(st.integers(6, 400))
+    return n, draw(st.integers(3, n - 3))
+
+
+# The engine costs tens of milliseconds near n = 400; 40 examples keep this
+# test near a second.
+@settings(deadline=None, max_examples=40)
+@given(chain=bent_chains())
+def test_bent_routes_agree(chain):
+    n, k = chain
+    params = BentParams(n, k)
+    assert bent_resistance_product(params) == bent_resistance_alternating(params) == reduce_bent(n, k)[0]

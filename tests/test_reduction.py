@@ -11,7 +11,6 @@ from twotree import (
     fib,
     lucas,
     reduce_bent,
-    reduce_straight,
     reduce_straight_chain,
     reduce_straight_state,
     resistance_exact,
@@ -71,22 +70,22 @@ def test_chain_needs_a_step():
 
 
 def test_reduce_straight_triangle():
-    assert reduce_straight(3) == Fraction(2, 3)
+    assert reduce_straight_state(3)[0] == Fraction(2, 3)
 
 
 def test_reduce_straight_four_matches_oracle():
-    assert reduce_straight(4) == resistance_exact(straight_2tree(4), 1, 4)
+    assert reduce_straight_state(4)[0] == resistance_exact(straight_2tree(4), 1, 4)
 
 
 def test_reduce_straight_six():
-    value = reduce_straight(6)
+    value = reduce_straight_state(6)[0]
     assert value == Fraction(15, 11)
     assert value == straight_pair_resistance(4, 1, 5)
 
 
 @pytest.mark.parametrize("n", range(3, 26))
 def test_reduce_straight_matches_formula(n):
-    assert reduce_straight(n) == straight_pair_resistance(n - 2, 1, n - 1)
+    assert reduce_straight_state(n)[0] == straight_pair_resistance(n - 2, 1, n - 1)
 
 
 def test_reduce_bent_spot_value():
