@@ -22,6 +22,7 @@ from .formulas import (
     BentParams,
     bent_resistance_alternating,
     bent_resistance_product,
+    straight_end_resistance,
     straight_pair_resistance,
 )
 from .graphs import GraphError, WeightedGraph, bent_2tree, straight_2tree
@@ -54,7 +55,9 @@ _BENT_METHODS = {
 }
 
 _STRAIGHT_METHODS = {
-    "formula": lambda n, k, i, j, g: straight_pair_resistance(n - 2, i, j - i),
+    "formula": lambda n, k, i, j, g: (
+        straight_end_resistance(n - 2) if (i, j) == (1, n) else straight_pair_resistance(n - 2, i, j - i)
+    ),
     "engine": lambda n, k, i, j, g: reduce_straight_state(n)[0],
     "exact": lambda n, k, i, j, g: resistance_exact(g, i, j),
     "float": lambda n, k, i, j, g: resistance_float(g, i, j),

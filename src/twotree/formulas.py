@@ -66,6 +66,17 @@ def straight_pair_resistance(m: int, j: int, k: int) -> Fraction:
     return Fraction(total, fib(2 * m + 2))
 
 
+def straight_end_resistance(m: int) -> Fraction:
+    """r(1, m+2) of the straight chain with m triangles, in closed form.
+
+    (m+1)/5 + 4 F_{m+1} / (5 L_{m+1}): the sum in straight_pair_resistance
+    for the end pair, in O(1) big-integer operations.
+    """
+    if m < 1:
+        raise ValueError("need at least one triangle (m >= 1)")
+    return Fraction(m + 1, 5) + Fraction(4 * fib(m + 1), 5 * lucas(m + 1))
+
+
 def tail_sum(j: int) -> Fraction:
     """Partial sum of F_i F_{i+1} / (L_i L_{i+1}) for i = 1..j, exactly.
 
@@ -128,11 +139,7 @@ def bent_resistance_alternating(params: BentParams) -> Fraction:
     m, k = params.m, params.k
     f_m2 = fib(m + 2)
     swing = sum(_alternating_summand(m, j, f_m2) for j in range(3, k + 1))
-    return (
-        Fraction(m + 1, 5)
-        + Fraction(4 * fib(m + 1), 5 * lucas(m + 1))
-        + Fraction(swing, fib(2 * m + 2))
-    )
+    return straight_end_resistance(m) + Fraction(swing, fib(2 * m + 2))
 
 
 def telescoping_difference(m: int, k: int) -> Fraction:

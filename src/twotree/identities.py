@@ -130,14 +130,18 @@ def _quadratic_product_expansion(m):
     return [(lhs, rhs)]
 
 
-def _tail_partial_sum_pairs(m):
+def _tail_partial_sum_pairs(m, tail=None):
+    # `tail` is tail_sum(m - 1), when the caller has already summed it.
+    if tail is None:
+        tail = tail_sum(m - 1)
     closed = Fraction(m * lucas(m) - fib(m), 5 * lucas(m))
     combined_lhs = Fraction(2 * fib(m + 1) ** 2, lucas(m) * lucas(m + 1)) + closed
     combined_rhs = Fraction(m + 1, 5) + Fraction(4 * fib(m + 1), 5 * lucas(m + 1))
-    return [(tail_sum(m - 1), closed), (combined_lhs, combined_rhs)]
+    return [(tail, closed), (combined_lhs, combined_rhs)]
 
 
 def _tail_total_balance(m):
+    tail = tail_sum(m - 2)
     lhs = (
         Fraction(m + 1, 5)
         + Fraction(4 * fib(m + 1), 5 * lucas(m + 1))
@@ -149,10 +153,12 @@ def _tail_total_balance(m):
             3 * fib(2 * m - 2) * fib(2 * m + 2),
         )
         + Fraction(1, 3)
-        + tail_sum(m - 2)
+        + tail
     )
-    # The partial-sum closed forms feed this balance; assert them alongside.
-    return [(lhs, rhs)] + _tail_partial_sum_pairs(m)
+    # The partial-sum closed forms feed this balance; assert them alongside,
+    # extending the tail by its (m-1)-th term instead of summing it again.
+    last = Fraction(fib(m - 1) * fib(m), lucas(m - 1) * lucas(m))
+    return [(lhs, rhs)] + _tail_partial_sum_pairs(m, tail + last)
 
 
 # -- the registry -------------------------------------------------------------

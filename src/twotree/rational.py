@@ -27,7 +27,7 @@ def as_rational(value: Fraction | int | str) -> Fraction:
 def series_combine(a: Fraction | int | str, b: Fraction | int | str) -> Fraction:
     """Resistance of two resistors in series (nonnegative inputs)."""
     ra, rb = as_rational(a), as_rational(b)
-    if ra < 0 or rb < 0:
+    if ra.numerator < 0 or rb.numerator < 0:
         raise ValueError("series combination needs nonnegative resistances")
     return ra + rb
 
@@ -37,7 +37,7 @@ def parallel_combine(a: Fraction | int | str, b: Fraction | int | str) -> Fracti
     Non-positive resistances are rejected as non-physical.
     """
     ra, rb = as_rational(a), as_rational(b)
-    if ra <= 0 or rb <= 0:
+    if ra.numerator <= 0 or rb.numerator <= 0:
         raise ValueError("parallel combination needs strictly positive resistances")
     return ra * rb / (ra + rb)
 

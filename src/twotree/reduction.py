@@ -10,6 +10,7 @@ outside for auditing.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Optional
@@ -31,12 +32,18 @@ def delta_y(
 
     With s = r_a + r_b + r_c the branches are (r_b*r_c/s, r_a*r_c/s,
     r_a*r_b/s); branch i attaches to the triangle node opposite edge i.
+    Written in lowest terms as r_a = p/q, r_b = r/u, r_c = w/v, every
+    branch is an integer product over t = s*q*u*v = p*u*v + r*q*v + w*q*u,
+    so each one costs a single reduction to lowest terms.
     """
     a, b, c = as_rational(r_a), as_rational(r_b), as_rational(r_c)
-    if a <= 0 or b <= 0 or c <= 0:
+    p, q = a.numerator, a.denominator
+    r, u = b.numerator, b.denominator
+    w, v = c.numerator, c.denominator
+    if p <= 0 or r <= 0 or w <= 0:
         raise ReductionError("triangle resistances must be strictly positive")
-    total = a + b + c
-    return b * c / total, a * c / total, a * b / total
+    t = p * u * v + r * q * v + w * q * u
+    return Fraction(r * w * q, t), Fraction(p * w * u, t), Fraction(p * r * v, t)
 
 
 @dataclass(frozen=True)
@@ -49,7 +56,7 @@ class TailTriple:
     b: Fraction
 
     def __post_init__(self):
-        if self.t <= 0 or self.s <= 0 or self.b <= 0:
+        if self.t.numerator <= 0 or self.s.numerator <= 0 or self.b.numerator <= 0:
             raise ReductionError("tail triple entries must be strictly positive")
 
 
@@ -108,7 +115,7 @@ class ReductionState:
         self.log: list[StepRecord] = []
         self._adj: dict[int, dict[int, Fraction]] = {v: {} for v in range(1, graph.n + 1)}
         for i, j, w in graph.edges:
-            r = Fraction(1) / w
+            r = Fraction(w.denominator, w.numerator)
             self._adj[i][j] = r
             self._adj[j][i] = r
         self._next_label = graph.n
@@ -277,24 +284,28 @@ def _run_side(
 
 
 def _collapse_to_single_edge(state: ReductionState) -> Fraction:
-    """Series/parallel-merge everything between the two terminals."""
-    while True:
-        interior = [v for v in state.vertices if v not in (state.source, state.sink)]
-        if not interior:
-            break
-        progressed = False
-        for v in interior:
-            if v not in state._adj:
-                continue
-            degree = len(state._adj[v])
-            if degree == 2:
-                state.merge_series_at(v, "final")
-                progressed = True
-            elif degree == 1:
-                state.prune_leaf(v, "final")
-                progressed = True
-        if not progressed:
-            raise ReductionError("circuit did not collapse to a single resistor")
+    """Series/parallel-merge everything between the two terminals.
+
+    Visits the interior vertices in sorted order; one of degree 3 or more
+    goes to the back of the queue, so the later rounds revisit the survivors
+    in sorted order too.
+    """
+    queue = deque(v for v in state.vertices if v not in (state.source, state.sink))
+    skipped = 0
+    while queue:
+        v = queue.popleft()
+        degree = len(state._adj[v])
+        if degree == 2:
+            state.merge_series_at(v, "final")
+            skipped = 0
+        elif degree == 1:
+            state.prune_leaf(v, "final")
+            skipped = 0
+        else:
+            queue.append(v)
+            skipped += 1
+            if skipped == len(queue):  # a whole round without a rewrite
+                raise ReductionError("circuit did not collapse to a single resistor")
     return state.resistance_between(state.source, state.sink)
 
 

@@ -22,6 +22,7 @@ from twotree import (
     tail_sum_closed_form,
     telescoping_difference,
 )
+from twotree.formulas import straight_end_resistance
 
 
 def test_bent_params_normalisation():
@@ -55,6 +56,13 @@ def test_straight_pair_exhaustive_against_oracle(m):
     for j in range(1, m + 2):
         for k in range(1, m + 3 - j):
             assert straight_pair_resistance(m, j, k) == resistance_exact(g, j, j + k)
+
+
+def test_straight_end_closed_form_matches_the_sum():
+    for m in range(1, 401):
+        assert straight_end_resistance(m) == straight_pair_resistance(m, 1, m + 1)
+    with pytest.raises(ValueError):
+        straight_end_resistance(0)
 
 
 def test_tail_sum_small_values():

@@ -10,6 +10,7 @@ from twotree import (
     replay_counterexample,
     run_all,
 )
+import twotree.identities
 from twotree.identities import Identity, _sign
 
 
@@ -62,6 +63,21 @@ def test_unknown_identity_rejected():
 def test_partial_sum_identity_queryable():
     report = check_identity("I-B.51/52", ranges={"m": (1, 120)})
     assert report.status == "pass"
+
+
+def test_tail_balance_sums_its_tail_once(monkeypatch):
+    calls = []
+    real = twotree.identities.tail_sum
+    monkeypatch.setattr(twotree.identities, "tail_sum", lambda j: calls.append(j) or real(j))
+    balance, partial = REGISTRY["I-A.4"].fn, REGISTRY["I-B.51/52"].fn
+    for m in range(4, 61):
+        pairs = balance(m=m)
+        assert calls == [m - 2]
+        # both partial-sum equalities ride along at every I-A.4 point
+        assert pairs[1:] == partial(m=m)
+        assert calls == [m - 2, m - 1]
+        calls.clear()
+        assert all(lhs == rhs for lhs, rhs in pairs)
 
 
 def test_mutated_identity_fails_with_counterexample():

@@ -14,13 +14,17 @@ from hypothesis import strategies as st
 
 from twotree import (
     BentParams,
+    ReductionError,
+    ReductionState,
     WeightedGraph,
+    bent_2tree,
     bent_resistance_alternating,
     bent_resistance_product,
     reduce_bent,
     resistance_exact,
     resistance_float,
 )
+from twotree.reduction import _collapse_to_single_edge
 
 from test_resistance import _resistance_plain_gauss
 
@@ -66,6 +70,68 @@ def test_foster_theorem(g):
     assert sum(w * resistance_exact(g, i, j) for i, j, w in g.edges) == g.n - 1
 
 
+@settings(deadline=None, max_examples=60)
+@given(g=connected_graphs())
+def test_resistance_is_a_metric(g):
+    # Klein & Randic (1993): resistance distance is symmetric and obeys the
+    # triangle inequality.
+    r = {(i, j): resistance_exact(g, i, j) for i in range(1, g.n + 1) for j in range(1, g.n + 1)}
+    for i, j, l in itertools.product(range(1, g.n + 1), repeat=3):
+        assert r[i, j] == r[j, i]
+        assert r[i, l] <= r[i, j] + r[j, l]
+
+
+@settings(deadline=None)
+@given(g=connected_graphs(), data=st.data())
+def test_rayleigh_monotonicity(g, data):
+    # Removing a resistor, here one whose loss keeps the graph connected,
+    # never lowers a resistance.
+    i, j = data.draw(st.lists(st.integers(1, g.n), min_size=2, max_size=2, unique=True))
+    before = resistance_exact(g, i, j)
+    for a, b, _ in g.edges:
+        thinner = g.delete_edge(a, b)
+        if thinner.is_connected():
+            assert resistance_exact(thinner, i, j) >= before
+
+
+def _collapse_by_passes(state):
+    """Referee: sweep the sorted interior until a sweep changes nothing."""
+    while True:
+        interior = [v for v in state.vertices if v not in (state.source, state.sink)]
+        if not interior:
+            return state.resistance_between(state.source, state.sink)
+        progressed = False
+        for v in interior:
+            degree = len(state.neighbors(v))
+            if degree == 2:
+                state.merge_series_at(v, "final")
+            elif degree == 1:
+                state.prune_leaf(v, "final")
+            progressed = progressed or degree in (1, 2)
+        if not progressed:
+            raise ReductionError("circuit did not collapse to a single resistor")
+
+
+def _collapse_outcome(collapse, g):
+    state = ReductionState(g, source=1, sink=g.n)
+    try:
+        value = collapse(state)
+    except ReductionError:
+        value = None
+    return value, [(r.kind, r.nodes, r.inputs, r.outputs) for r in state.log]
+
+
+@settings(deadline=None)
+@given(g=shuffled_graphs())
+def test_final_collapse_keeps_the_sweep_order(g):
+    # Same steps in the same order as sweeping the sorted interior, and the
+    # same refusal when the circuit is not series-parallel.
+    value, log = _collapse_outcome(_collapse_to_single_edge, g)
+    assert (value, log) == _collapse_outcome(_collapse_by_passes, g)
+    if value is not None:
+        assert value == resistance_exact(g, 1, g.n)
+
+
 @settings(deadline=None)
 @given(g=shuffled_graphs(), data=st.data())
 def test_envelope_solve_matches_plain_elimination(g, data):
@@ -95,4 +161,7 @@ def bent_chains(draw):
 def test_bent_routes_agree(chain):
     n, k = chain
     params = BentParams(n, k)
-    assert bent_resistance_product(params) == bent_resistance_alternating(params) == reduce_bent(n, k)[0]
+    value = bent_resistance_product(params)
+    assert value == bent_resistance_alternating(params) == reduce_bent(n, k)[0]
+    if n <= 60:
+        assert value == resistance_exact(bent_2tree(n, k), 1, n)

@@ -1,11 +1,15 @@
 """The triangle-to-star reduction engine and its bookkeeping."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twotree import (
     ReductionError,
+    TailTriple,
     bent_2tree,
     delta_y,
     fib,
@@ -40,6 +44,58 @@ def test_delta_y_rejects_nonpositive():
         delta_y(0, 1, 1)
     with pytest.raises(ReductionError):
         delta_y(1, -1, 1)
+    for position in range(3):
+        for bad in (0, -1, Fraction(-2, 3)):
+            inputs = [Fraction(5, 7), Fraction(3, 4), Fraction(9, 2)]
+            inputs[position] = bad
+            with pytest.raises(ReductionError):
+                delta_y(*inputs)
+
+
+def _delta_y_plain(a, b, c):
+    """Referee: the star branches by plain Fraction arithmetic."""
+    total = a + b + c
+    return b * c / total, a * c / total, a * b / total
+
+
+def _assert_matches_referee(inputs, outputs):
+    assert outputs == _delta_y_plain(*inputs)
+    assert all(type(q) is Fraction and q.denominator > 0 for q in outputs)
+    assert all(gcd(q.numerator, q.denominator) == 1 for q in outputs)
+
+
+# Small smooth factors make numerators and denominators share primes both
+# within one input and across the three; the large draws exercise big ints.
+_parts = st.builds(lambda x, f: x * f, st.integers(1, 60), st.sampled_from([1, 2, 3, 5, 6, 10, 12, 30]))
+_positive_rationals = st.one_of(
+    st.builds(Fraction, _parts, _parts),
+    st.builds(Fraction, st.integers(1, 10**40), st.integers(1, 10**40)),
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(a=_positive_rationals, b=_positive_rationals, c=_positive_rationals)
+def test_delta_y_matches_plain_arithmetic(a, b, c):
+    _assert_matches_referee((a, b, c), delta_y(a, b, c))
+
+
+def test_engine_transforms_match_plain_arithmetic():
+    # The bent chain transforms k - 2 triangles from the left and n - k - 1
+    # from the right; the straight one all n - 2 from the left.
+    for count, (_, state) in ((197, reduce_bent(200, 77)), (198, reduce_straight_state(200))):
+        transforms = [record for record in state.log if record.kind == "delta_y"]
+        assert len(transforms) == count
+        for record in transforms:
+            _assert_matches_referee(record.inputs, record.outputs)
+
+
+@pytest.mark.parametrize("bad", [0, Fraction(-1, 3)])
+@pytest.mark.parametrize("field", ["t", "s", "b"])
+def test_tail_triple_rejects_nonpositive_entries(bad, field):
+    entries = {"t": Fraction(1, 3), "s": Fraction(1, 8), "b": Fraction(1, 2)}
+    entries[field] = Fraction(bad)
+    with pytest.raises(ReductionError):
+        TailTriple(j=1, **entries)
 
 
 def test_chain_first_steps():
