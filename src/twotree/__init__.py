@@ -28,7 +28,6 @@ from .identities import (
     IdentityReport,
     UnknownIdentityError,
     check_identity,
-    replay_counterexample,
     run_all,
 )
 from .rational import (
@@ -82,7 +81,6 @@ __all__ = [
     "reduce_bent",
     "reduce_straight_chain",
     "reduce_straight_state",
-    "replay_counterexample",
     "resistance_exact",
     "resistance_float",
     "run_all",

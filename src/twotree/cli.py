@@ -271,6 +271,8 @@ def _cmd_sweep(args, out) -> int:
         raise UsageError(f"{args.family} chains need n >= {least}")
     if args.family == "bent" and args.k_policy == "fixed" and args.k is None:
         raise UsageError("k-policy 'fixed' needs --k")
+    if args.family == "bent" and args.k_policy != "fixed" and args.k is not None:
+        raise UsageError(f"--k applies to k-policy 'fixed' only, not {args.k_policy!r}")
     size = _sweep_size(args.family, lo, hi, args.k_policy, args.k)
     if size > MAX_SWEEP_RECORDS:
         raise UsageError(f"sweep of {size} records exceeds MAX_SWEEP_RECORDS = {MAX_SWEEP_RECORDS}")
@@ -410,6 +412,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return int(exc.code or 0)
     out = sys.stdout
     try:
+        # Checked before any route runs; `verify` has no --digits.
+        if getattr(args, "digits", 1) < 1:
+            raise UsageError("digits must be at least 1")
         if args.cmd == "resistance":
             return _cmd_resistance(args, out)
         if args.cmd == "sweep":

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .rational import as_rational, ratio_string
 
@@ -17,109 +17,57 @@ class GraphError(ValueError):
     """Invalid graph construction or query."""
 
 
-EdgeInput = tuple[int, int, "Fraction | int | str"]
+EdgeInput = tuple[int, int, "Fraction | int"]
 
 
 class WeightedGraph:
-    """Undirected graph on vertices 1..n with strictly positive edge weights."""
+    """Undirected graph on vertices 1..n with strictly positive edge weights.
+
+    It holds `n` and `edges`, the tuple of (i, j, weight) with i < j in
+    sorted order; each edge appears once.
+    """
 
     def __init__(self, n: int, edges: Iterable[EdgeInput]):
         if n < 1:
             raise GraphError("a graph needs at least one vertex")
-        self.n = n
-        self._adj: dict[int, dict[int, Fraction]] = {v: {} for v in range(1, n + 1)}
+        weights: dict[tuple[int, int], Fraction] = {}
         for i, j, raw in edges:
             if not (1 <= i <= n and 1 <= j <= n):
                 raise GraphError(f"edge ({i},{j}) is out of the vertex range 1..{n}")
             if i == j:
                 raise GraphError(f"self-loop at vertex {i}")
             a, b = (i, j) if i < j else (j, i)
-            if b in self._adj[a]:
+            if (a, b) in weights:
                 raise GraphError(f"duplicate edge ({a},{b})")
             w = as_rational(raw)
-            if w <= 0:
+            if w.numerator <= 0:
                 raise GraphError(f"edge ({a},{b}) has non-positive weight {w}")
-            self._adj[a][b] = w
-            self._adj[b][a] = w
-        self._edges = tuple(
-            (i, j, self._adj[i][j])
-            for i in range(1, n + 1)
-            for j in sorted(self._adj[i])
-            if i < j
+            weights[a, b] = w
+        self.n = n
+        self.edges: tuple[tuple[int, int, Fraction], ...] = tuple(
+            (a, b, weights[a, b]) for a, b in sorted(weights)
         )
 
     # -- inspection -------------------------------------------------------
 
     @property
-    def edges(self) -> tuple[tuple[int, int, Fraction], ...]:
-        return self._edges
-
-    @property
     def edge_count(self) -> int:
-        return len(self._edges)
-
-    def has_edge(self, i: int, j: int) -> bool:
-        return j in self._adj.get(i, {})
-
-    def weight(self, i: int, j: int) -> Fraction:
-        try:
-            return self._adj[i][j]
-        except KeyError:
-            raise GraphError(f"no edge ({i},{j})") from None
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        if v not in self._adj:
-            raise GraphError(f"vertex {v} is out of range")
-        return tuple(sorted(self._adj[v]))
-
-    def degree(self, v: int) -> int:
-        return len(self.neighbors(v))
+        return len(self.edges)
 
     def is_connected(self) -> bool:
+        adj: dict[int, list[int]] = {v: [] for v in range(1, self.n + 1)}
+        for a, b, _ in self.edges:
+            adj[a].append(b)
+            adj[b].append(a)
         seen = {1}
         frontier = [1]
         while frontier:
             u = frontier.pop()
-            for w in self._adj[u]:
+            for w in adj[u]:
                 if w not in seen:
                     seen.add(w)
                     frontier.append(w)
         return len(seen) == self.n
-
-    def is_biconnected(self) -> bool:
-        """True when connected, n >= 3 and no articulation vertex exists."""
-        if self.n < 3 or not self.is_connected():
-            return False
-        index = {}
-        low = {}
-        parent: dict[int, int | None] = {1: None}
-        order = 0
-        stack: list[tuple[int, Iterator[int]]] = [(1, iter(self._adj[1]))]
-        index[1] = low[1] = order
-        root_children = 0
-        while stack:
-            v, it = stack[-1]
-            advanced = False
-            for w in it:
-                if w not in index:
-                    order += 1
-                    index[w] = low[w] = order
-                    parent[w] = v
-                    if v == 1:
-                        root_children += 1
-                    stack.append((w, iter(self._adj[w])))
-                    advanced = True
-                    break
-                if w != parent[v]:
-                    low[v] = min(low[v], index[w])
-            if not advanced:
-                stack.pop()
-                p = parent[v]
-                if p is not None:
-                    low[p] = min(low[p], low[v])
-                    if p != 1 and low[v] >= index[p]:
-                        return False
-        return root_children < 2
 
     # -- derived structures -------------------------------------------------
 
@@ -129,28 +77,20 @@ class WeightedGraph:
         `scale` is the lcm of the edge-weight denominators (1 on unit chains);
         row and column v - 1 belong to vertex v.
         """
-        scale = lcm(*(w.denominator for _, _, w in self._edges))
+        scale = lcm(*(w.denominator for _, _, w in self.edges))
         rows = [[0] * self.n for _ in range(self.n)]
-        for i, j, w in self._edges:
+        for i, j, w in self.edges:
             c = w.numerator * (scale // w.denominator)
             rows[i - 1][j - 1] = rows[j - 1][i - 1] = -c
             rows[i - 1][i - 1] += c
             rows[j - 1][j - 1] += c
         return scale, rows
 
-    def delete_edge(self, i: int, j: int) -> "WeightedGraph":
-        """New graph with one edge removed (for monotonicity experiments)."""
-        if not self.has_edge(i, j):
-            raise GraphError(f"no edge ({i},{j}) to delete")
-        a, b = (i, j) if i < j else (j, i)
-        kept = [(u, v, w) for u, v, w in self._edges if (u, v) != (a, b)]
-        return WeightedGraph(self.n, kept)
-
     # -- serialization ------------------------------------------------------
 
     def to_text(self) -> str:
         lines = [f"{self.n} {self.edge_count}"]
-        lines.extend(f"{i} {j} {ratio_string(w)}" for i, j, w in self._edges)
+        lines.extend(f"{i} {j} {ratio_string(w)}" for i, j, w in self.edges)
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -184,11 +124,11 @@ class WeightedGraph:
         return (
             isinstance(other, WeightedGraph)
             and self.n == other.n
-            and self._edges == other._edges
+            and self.edges == other.edges
         )
 
     def __hash__(self) -> int:
-        return hash((self.n, self._edges))
+        return hash((self.n, self.edges))
 
     def __repr__(self) -> str:
         return f"WeightedGraph(n={self.n}, edges={self.edge_count})"

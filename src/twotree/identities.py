@@ -187,48 +187,44 @@ _PARTIAL_SUM_SINGLE = _spans(("m",), (1, 60), (1, 300), (1, 500))
 _TWO_PARAM_BOX = _spans(("m", "k"), (1, 25), (1, 120), (1, 200))
 
 
-def _entry(id_, statement, params, fn, ranges, in_run_all=True):
-    return Identity(id_, statement, tuple(params), fn, ranges, in_run_all)
-
-
 REGISTRY: dict[str, Identity] = {
     e.id: e
     for e in [
-        _entry("I-2.1", "F(2m) = L(m) F(m)", ("m",), _double_index_product, _SIGNED_SINGLE),
-        _entry(
+        Identity("I-2.1", "F(2m) = L(m) F(m)", ("m",), _double_index_product, _SIGNED_SINGLE),
+        Identity(
             "I-2.2",
             "F(k+m) = F(m) F(k+1) + F(m-1) F(k)",
             ("m", "k"),
             _index_split,
             _spans(("m", "k"), (-8, 16), (-20, 60), (-40, 100)),
         ),
-        _entry(
+        Identity(
             "I-2.3/2.4",
             "F(2m) = F(m) F(m+1) + F(m-1) F(m); F(2m-3) = F(m-1)^2 + F(m-2)^2",
             ("m",),
             _double_index_splits,
             _SIGNED_SINGLE,
         ),
-        _entry(
+        Identity(
             "I-2.5",
             "F(n+m) = F(n+1) F(m+1) - F(n-1) F(m-1)",
             ("n", "m"),
             _index_split_alternate,
             _spans(("n", "m"), (-8, 16), (-20, 60), (-40, 100)),
         ),
-        _entry("I-2.6", "F(2m) = F(m+1)^2 - F(m-1)^2", ("m",), _double_index_square_difference, _SIGNED_SINGLE),
-        _entry(
+        Identity("I-2.6", "F(2m) = F(m+1)^2 - F(m-1)^2", ("m",), _double_index_square_difference, _SIGNED_SINGLE),
+        Identity(
             "I-2.7",
             "F(m+3)^2 + F(m)^2 = 2 (F(m+1)^2 + F(m+2)^2)",
             ("m",),
             _square_sum_doubling,
             _SIGNED_SINGLE,
         ),
-        _entry("I-2.8", "3 F(m) = F(m+2) + F(m-2)", ("m",), _triple_value, _SIGNED_SINGLE),
-        _entry("I-2.9", "L(m) = F(m+1) + F(m-1)", ("m",), _lucas_as_fib_sum, _SIGNED_SINGLE),
-        _entry("I-2.10", "2 F(m+1) = F(m) + L(m)", ("m",), _doubled_successor, _SIGNED_SINGLE),
-        _entry("I-2.11", "L(m+1) = 2 F(m) + F(m+1)", ("m",), _lucas_successor, _SIGNED_SINGLE),
-        _entry(
+        Identity("I-2.8", "3 F(m) = F(m+2) + F(m-2)", ("m",), _triple_value, _SIGNED_SINGLE),
+        Identity("I-2.9", "L(m) = F(m+1) + F(m-1)", ("m",), _lucas_as_fib_sum, _SIGNED_SINGLE),
+        Identity("I-2.10", "2 F(m+1) = F(m) + L(m)", ("m",), _doubled_successor, _SIGNED_SINGLE),
+        Identity("I-2.11", "L(m+1) = 2 F(m) + F(m+1)", ("m",), _lucas_successor, _SIGNED_SINGLE),
+        Identity(
             "I-2.12",
             "F(n+a+b+c) F(n-a) F(n-b) F(n-c) - F(n-a-b-c) F(n+a) F(n+b) F(n+c)"
             " = (-1)^(n+a+b+c) F(a+b) F(a+c) F(b+c) F(2n)",
@@ -236,14 +232,14 @@ REGISTRY: dict[str, Identity] = {
             _four_factor_balance,
             _spans(("n", "a", "b", "c"), (-4, 4), (-8, 8), (-10, 10)),
         ),
-        _entry(
+        Identity(
             "I-2.13",
             "F(n+i) F(n+r) - F(n) F(n+i+r) = (-1)^n F(i) F(r)",
             ("n", "i", "r"),
             _cross_product_defect,
             _spans(("n", "i", "r"), (-5, 5), (-8, 8), (-10, 10)),
         ),
-        _entry(
+        Identity(
             "I-3.2",
             "F(2k) F(m-k-1) F(m-k+2) = F(m+1) F(m-2k) F(k+1) F(k-2)"
             " + F(m-2k+1) F(m) F(k-1) F(k+2)",
@@ -251,14 +247,14 @@ REGISTRY: dict[str, Identity] = {
             _split_product_three_factor,
             _TWO_PARAM_BOX,
         ),
-        _entry(
+        Identity(
             "I-3.4",
             "F(k+1) F(m) - F(k-1) F(m+2) = (-1)^(k-1) F(m-k+1)",
             ("m", "k"),
             _shifted_cross_difference,
             _TWO_PARAM_BOX,
         ),
-        _entry(
+        Identity(
             "I-3.5",
             "F(2m-2k+2) F(k+1) F(k-2) - F(2k) F(m-k-1) F(m-k+2)"
             " = (-1)^(k+1) F(m-2k+1) (F(m+2) + F(k-1) F(m-k))",
@@ -266,7 +262,7 @@ REGISTRY: dict[str, Identity] = {
             _bend_step_kernel,
             _TWO_PARAM_BOX,
         ),
-        _entry(
+        Identity(
             "I-A.1",
             "2 F(2m-2) F(m+1)^3 + F(2m+2) F(m-1)^2 F(m)"
             " = L(m) (F(m+1) F(2m-2) F(m+2) + F(m) F(m-1)^2 F(m+1))",
@@ -274,14 +270,14 @@ REGISTRY: dict[str, Identity] = {
             _cubic_lucas_factorisation,
             _POSITIVE_SINGLE,
         ),
-        _entry(
+        Identity(
             "I-A.2",
             "F(m+1) F(m+2) - 3 F(m-3) F(m) = 2 F(2m-3) + 3 F(m+1) F(m-2) + F(m) F(m-1)",
             ("m",),
             _product_minus_triple,
             _POSITIVE_SINGLE,
         ),
-        _entry(
+        Identity(
             "I-A.3",
             "(F(2m-2) + 3 F(m-2)^2)(4 F(2m-2) + 3 F(m-1)^2) + F(2m-2) F(2m+2)"
             " = 3 [F(2m-2)(2 F(2m-3) + 3 F(m+1) F(m-2) + F(m) F(m-1)) + F(m) F(m+1) F(m-1)^2]",
@@ -289,7 +285,7 @@ REGISTRY: dict[str, Identity] = {
             _quadratic_product_expansion,
             _POSITIVE_SINGLE,
         ),
-        _entry(
+        Identity(
             "I-A.4",
             "(m+1)/5 + 4 F(m+1)/(5 L(m+1)) - F(m-3)(F(m+2)+F(m-2))/F(2m+2)"
             " = quadratic product/(3 F(2m-2) F(2m+2)) + 1/3 + tail_sum(m-2);"
@@ -298,7 +294,7 @@ REGISTRY: dict[str, Identity] = {
             _tail_total_balance,
             _TAIL_SINGLE,
         ),
-        _entry(
+        Identity(
             "I-B.51/52",
             "tail_sum(m-1) = (m L(m) - F(m))/(5 L(m));"
             " 2 F(m+1)^2/(L(m) L(m+1)) + (m L(m) - F(m))/(5 L(m))"
@@ -350,11 +346,15 @@ def _render(value) -> str:
 
 def _resolve_ranges(entry: Identity, profile: str, ranges) -> dict[str, tuple[int, int]]:
     if ranges is not None:
-        resolved = dict(ranges)
-        missing = set(entry.params) - set(resolved)
-        if missing:
-            raise ValueError(f"ranges missing parameters {sorted(missing)} for {entry.id}")
-        return {p: resolved[p] for p in entry.params}
+        box = {p: ranges[p] for p in entry.params if p in ranges}
+        if len(box) != len(entry.params) or len(box) != len(ranges):
+            raise ValueError(
+                f"ranges name {sorted(ranges)}; {entry.id} takes exactly {sorted(entry.params)}"
+            )
+        for p, (lo, hi) in box.items():
+            if lo > hi:
+                raise ValueError(f"empty range for {p!r} in {entry.id}: {lo} > {hi}")
+        return box
     if profile not in entry.ranges:
         raise ValueError(f"unknown profile {profile!r}; expected one of {PROFILES}")
     return dict(entry.ranges[profile])
@@ -364,15 +364,14 @@ def check_identity(
     identity_id: str,
     ranges: Optional[Mapping[str, tuple[int, int]]] = None,
     profile: str = "standard",
-    registry: Optional[Mapping[str, Identity]] = None,
 ) -> IdentityReport:
     """Sweep one identity over a parameter box and report pass/fail.
 
     Both sides are evaluated exactly at every point of the cartesian range;
-    a failure carries the first counterexample found.
+    a failure carries the first counterexample found.  Explicit `ranges`
+    give a non-empty (lo, hi) span for exactly the identity's parameters.
     """
-    table = REGISTRY if registry is None else registry
-    entry = table.get(identity_id)
+    entry = REGISTRY.get(identity_id)
     if entry is None:
         raise UnknownIdentityError(f"unknown identity id {identity_id!r}")
     box = _resolve_ranges(entry, profile, ranges)
@@ -392,30 +391,12 @@ def check_identity(
     return IdentityReport(identity_id=entry.id, ranges=range_tuple, status="pass")
 
 
-def run_all(
-    profile: str = "standard",
-    registry: Optional[Mapping[str, Identity]] = None,
-) -> list[IdentityReport]:
+def run_all(profile: str = "standard") -> list[IdentityReport]:
     """Check every catalogued identity on the given profile."""
     if profile not in PROFILES:
         raise ValueError(f"unknown profile {profile!r}; expected one of {PROFILES}")
-    table = REGISTRY if registry is None else registry
     return [
-        check_identity(entry.id, profile=profile, registry=table)
-        for entry in table.values()
+        check_identity(entry.id, profile=profile)
+        for entry in REGISTRY.values()
         if entry.in_run_all
     ]
-
-
-def replay_counterexample(
-    report: IdentityReport,
-    registry: Optional[Mapping[str, Identity]] = None,
-) -> bool:
-    """Re-evaluate a failure point; True when the inequality reproduces."""
-    if report.status != "fail" or report.counterexample is None:
-        raise ValueError("only failure reports carry a counterexample to replay")
-    table = REGISTRY if registry is None else registry
-    entry = table.get(report.identity_id)
-    if entry is None:
-        raise UnknownIdentityError(f"unknown identity id {report.identity_id!r}")
-    return any(lhs != rhs for lhs, rhs in entry.fn(**report.counterexample))

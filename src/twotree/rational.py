@@ -11,27 +11,28 @@ import decimal
 from fractions import Fraction
 
 
-def as_rational(value: Fraction | int | str) -> Fraction:
-    """Coerce an int, a "num/den" string, or a Fraction to an exact Fraction.
+def as_rational(value: Fraction | int) -> Fraction:
+    """Coerce an int or a Fraction to an exact Fraction.
 
-    Floats are rejected: they would silently smuggle rounding error into an
-    exact pipeline.
+    Anything else is rejected: a float would silently smuggle rounding error
+    into an exact pipeline, and text is parsed where it is read
+    (`Fraction(text)`).
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int) or isinstance(value, str):
+    if isinstance(value, int):
         return Fraction(value)
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
-def series_combine(a: Fraction | int | str, b: Fraction | int | str) -> Fraction:
+def series_combine(a: Fraction | int, b: Fraction | int) -> Fraction:
     """Resistance of two resistors in series (nonnegative inputs)."""
     ra, rb = as_rational(a), as_rational(b)
     if ra.numerator < 0 or rb.numerator < 0:
         raise ValueError("series combination needs nonnegative resistances")
     return ra + rb
 
-def parallel_combine(a: Fraction | int | str, b: Fraction | int | str) -> Fraction:
+def parallel_combine(a: Fraction | int, b: Fraction | int) -> Fraction:
     """Resistance of two resistors in parallel: a*b / (a + b).
 
     Non-positive resistances are rejected as non-physical.

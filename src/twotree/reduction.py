@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 from .graphs import WeightedGraph, bent_2tree, straight_2tree
 from .rational import as_rational, parallel_combine, ratio_string, series_combine
@@ -24,9 +24,9 @@ class ReductionError(ValueError):
 
 
 def delta_y(
-    r_a: Fraction | int | str,
-    r_b: Fraction | int | str,
-    r_c: Fraction | int | str,
+    r_a: Fraction | int,
+    r_b: Fraction | int,
+    r_c: Fraction | int,
 ) -> tuple[Fraction, Fraction, Fraction]:
     """Star branches equivalent to a resistor triangle.
 
@@ -138,16 +138,15 @@ class ReductionState:
         except KeyError:
             raise ReductionError(f"no resistor between {u} and {v}") from None
 
-    def edge_items(self) -> Iterator[tuple[int, int, Fraction]]:
-        for u in sorted(self._adj):
-            for v in sorted(self._adj[u]):
-                if u < v:
-                    yield u, v, self._adj[u][v]
-
     def as_weighted_graph(self) -> tuple[WeightedGraph, dict[int, int]]:
         """Snapshot as a WeightedGraph plus the old-label -> new-label map."""
         relabel = {old: new for new, old in enumerate(self.vertices, start=1)}
-        edges = [(relabel[u], relabel[v], Fraction(1) / r) for u, v, r in self.edge_items()]
+        edges = [
+            (relabel[u], relabel[v], Fraction(1) / r)
+            for u, nbrs in self._adj.items()
+            for v, r in nbrs.items()
+            if u < v
+        ]
         return WeightedGraph(len(relabel), edges), relabel
 
     # -- elementary rewrites --------------------------------------------------

@@ -229,6 +229,18 @@ def test_oversized_sweep_is_refused_before_any_record(capsys, monkeypatch):
         assert "MAX_SWEEP_RECORDS" in err
 
 
+def test_sweep_k_needs_the_fixed_policy(capsys):
+    for argv in (
+        ("bent", "--n", "8:8", "--k", "4"),
+        ("bent", "--n", "8:8", "--k-policy", "center", "--k", "4"),
+        ("straight", "--n", "8:8", "--k", "4"),
+    ):
+        code, out, err = run_cli(capsys, "sweep", *argv)
+        assert code == 2
+        assert out == ""
+        assert "--k applies to" in err
+
+
 @pytest.mark.parametrize(
     "argv, size",
     [
@@ -293,6 +305,23 @@ def test_digits_flag(capsys):
     assert code == 0
     record = json.loads(out.strip())
     assert record["decimal"] == "0.6667"
+
+
+def test_bad_digits_are_refused_before_any_record(capsys, monkeypatch):
+    def no_records(*args):
+        pytest.fail("a record was computed for --digits 0")
+
+    monkeypatch.setattr(cli, "build_record", no_records)
+    monkeypatch.setattr(cli, "reduce_bent", no_records)
+    for argv in (
+        ("resistance", "bent", "--n", "3000", "--k", "1500", "--digits", "0"),
+        ("sweep", "straight", "--n", "3:5", "--digits", "-1"),
+        ("reduce", "bent", "8", "4", "--digits", "0"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "digits must be at least 1" in err
 
 
 @pytest.mark.parametrize(

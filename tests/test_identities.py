@@ -7,7 +7,6 @@ from twotree import (
     UnknownIdentityError,
     check_identity,
     fib,
-    replay_counterexample,
     run_all,
 )
 import twotree.identities
@@ -80,32 +79,42 @@ def test_tail_balance_sums_its_tail_once(monkeypatch):
         assert all(lhs == rhs for lhs, rhs in pairs)
 
 
-def test_mutated_identity_fails_with_counterexample():
+def test_mutated_identity_fails_with_counterexample(monkeypatch):
     # flip one sign in an otherwise true statement
     def broken(m):
         return [(fib(2 * m), fib(m + 1) ** 2 + fib(m - 1) ** 2)]
 
-    registry = dict(REGISTRY)
-    registry["I-BROKEN"] = Identity(
-        id="I-BROKEN",
-        statement="F(2m) = F(m+1)^2 + F(m-1)^2 (deliberately wrong)",
-        params=("m",),
-        fn=broken,
-        ranges={"small": {"m": (1, 10)}, "standard": {"m": (1, 10)}, "deep": {"m": (1, 10)}},
+    monkeypatch.setitem(
+        REGISTRY,
+        "I-BROKEN",
+        Identity(
+            id="I-BROKEN",
+            statement="F(2m) = F(m+1)^2 + F(m-1)^2 (deliberately wrong)",
+            params=("m",),
+            fn=broken,
+            ranges={"small": {"m": (1, 10)}, "standard": {"m": (1, 10)}, "deep": {"m": (1, 10)}},
+        ),
     )
-    report = check_identity("I-BROKEN", registry=registry)
+    report = check_identity("I-BROKEN")
     assert report.status == "fail"
     assert report.counterexample is not None
     assert report.mismatch is not None
-    assert replay_counterexample(report, registry=registry)
-    reports = run_all("standard", registry=registry)
+    # the reported point reproduces the inequality
+    assert any(lhs != rhs for lhs, rhs in REGISTRY["I-BROKEN"].fn(**report.counterexample))
+    reports = run_all("standard")
     assert sum(1 for r in reports if r.status == "fail") == 1
 
 
-def test_replay_requires_failure():
-    report = check_identity("I-2.1", ranges={"m": (1, 5)})
+def test_ranges_must_name_a_nonempty_box():
+    for ranges in (
+        {"m": (5, 1)},  # empty: would pass after checking no point
+        {"m": (1, 3), "zz": (0, 9)},  # unknown parameter
+        {},  # missing parameter
+    ):
+        with pytest.raises(ValueError):
+            check_identity("I-2.1", ranges=ranges)
     with pytest.raises(ValueError):
-        replay_counterexample(report)
+        check_identity("I-2.2", ranges={"m": (1, 3), "k": (4, 3)})
 
 
 def test_report_json_shape():

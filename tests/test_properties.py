@@ -89,7 +89,7 @@ def test_rayleigh_monotonicity(g, data):
     i, j = data.draw(st.lists(st.integers(1, g.n), min_size=2, max_size=2, unique=True))
     before = resistance_exact(g, i, j)
     for a, b, _ in g.edges:
-        thinner = g.delete_edge(a, b)
+        thinner = WeightedGraph(g.n, [e for e in g.edges if e[:2] != (a, b)])
         if thinner.is_connected():
             assert resistance_exact(thinner, i, j) >= before
 

@@ -44,6 +44,13 @@ def test_as_rational_rejects_float():
         as_rational(0.5)
 
 
+def test_as_rational_rejects_text():
+    with pytest.raises(TypeError):
+        as_rational("1/2")
+    with pytest.raises(TypeError):
+        series_combine("1/2", 1)
+
+
 def _random_positive(rng):
     return Fraction(rng.randint(1, 400), rng.randint(1, 400))
 
