@@ -7,7 +7,6 @@ solves, plus an executable catalogue of the identities tying them together.
 
 from .formulas import (
     BentParams,
-    alternating_term,
     bent_resistance_alternating,
     bent_resistance_product,
     straight_pair_resistance,
@@ -65,7 +64,6 @@ __all__ = [
     "TailTriple",
     "UnknownIdentityError",
     "WeightedGraph",
-    "alternating_term",
     "as_rational",
     "bent_2tree",
     "bent_resistance_alternating",

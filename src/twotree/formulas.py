@@ -124,11 +124,6 @@ def _alternating_summand(m: int, j: int, f_m2: int) -> int:
     return sign * fib(m - 2 * j + 3) * (f_m2 + fib(j - 2) * fib(m - j + 1))
 
 
-def alternating_term(m: int, j: int) -> int:
-    """The j-th signed summand of the alternating bent-chain form (an integer)."""
-    return _alternating_summand(m, j, fib(m + 2))
-
-
 def bent_resistance_alternating(params: BentParams) -> Fraction:
     """End-to-end bent-chain resistance in alternating-sum form.
 
@@ -144,4 +139,4 @@ def bent_resistance_alternating(params: BentParams) -> Fraction:
 
 def telescoping_difference(m: int, k: int) -> Fraction:
     """Exact value of r_{m,k+1} - r_{m,k} predicted by the alternating form."""
-    return Fraction(alternating_term(m, k + 1), fib(2 * m + 2))
+    return Fraction(_alternating_summand(m, k + 1, fib(m + 2)), fib(2 * m + 2))

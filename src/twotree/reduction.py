@@ -10,13 +10,17 @@ outside for auditing.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .graphs import WeightedGraph, bent_2tree, straight_2tree
+from .graphs import GraphError, WeightedGraph, bent_2tree, straight_2tree
 from .rational import as_rational, parallel_combine, ratio_string, series_combine
+
+
+# The engine keeps its whole step log and its time grows about as n^2, so
+# larger chains are refused before one is built.
+ENGINE_VERTEX_GUARD = 10_000
 
 
 class ReductionError(ValueError):
@@ -197,12 +201,13 @@ class ReductionState:
         self._emit(side, "delta_y", (anchor, middle, far, star), (r_a, r_b, r_c), (r_1, r_2, r_3))
         return star, TailTriple(j=j, t=r_3, s=r_2, b=r_1)
 
-    def merge_series_at(self, v: int, side: str) -> None:
+    def merge_series_at(self, v: int, side: str) -> tuple[int, int]:
         """Replace the two resistors through a degree-2 vertex by their sum.
 
         When an edge between the two neighbors already exists, the merged
         resistor lands in parallel with it and the pair is combined on the
-        spot (the circuit never holds parallel duplicates).
+        spot (the circuit never holds parallel duplicates).  Returns the two
+        neighbors, in ascending order.
         """
         nbrs = self.neighbors(v)
         if len(nbrs) != 2:
@@ -219,12 +224,13 @@ class ReductionState:
             self._adj[u][w] = merged
             self._adj[w][u] = merged
             self._emit(side, "series", (u, v, w), (r_u, r_w), (merged,))
-            return
+            return u, w
         combined = parallel_combine(existing, merged)
         self._adj[u][w] = combined
         self._adj[w][u] = combined
         self._emit(side, "series", (u, v, w), (r_u, r_w), (merged,))
         self._emit(side, "parallel", (min(u, w), max(u, w)), (existing, merged), (combined,))
+        return u, w
 
     def prune_leaf(self, v: int, side: str) -> None:
         """Drop a dangling resistor; it carries no current between terminals."""
@@ -274,54 +280,43 @@ def _run_side(
         tails.append(triple)
         if j == steps and not merge_last:
             break
-        rest = [v for v in state.neighbors(middle) if v != star]
-        if len(rest) != 1:
-            raise ReductionError(f"chain continuation at vertex {middle} is ambiguous")
-        state.merge_series_at(middle, side)
-        anchor, middle, far = star, far, rest[0]
+        u, w = state.merge_series_at(middle, side)
+        anchor, middle, far = star, far, (w if u == star else u)
     return middle
 
 
-def _collapse_to_single_edge(state: ReductionState) -> Fraction:
-    """Series/parallel-merge everything between the two terminals.
+def _collapse_to_single_edge(state: ReductionState, expected: Fraction) -> Fraction:
+    """Series-merge the chain left between the terminals into one resistor.
 
-    Visits the interior vertices in sorted order; one of degree 3 or more
-    goes to the back of the queue, so the later rounds revisit the survivors
-    in sorted order too.
+    After the side reductions the circuit is a chain: taken in ascending
+    label order, every interior vertex has degree 2 when its turn comes, so
+    one sorted pass of series merges (each followed by a parallel merge when
+    it closes a pair) leaves the single resistor source-sink.  A vertex of
+    any other degree raises ReductionError, as does a result that differs
+    from `expected`, the value of the tail bookkeeping.
     """
-    queue = deque(v for v in state.vertices if v not in (state.source, state.sink))
-    skipped = 0
-    while queue:
-        v = queue.popleft()
-        degree = len(state._adj[v])
-        if degree == 2:
+    for v in state.vertices:
+        if v not in (state.source, state.sink):
             state.merge_series_at(v, "final")
-            skipped = 0
-        elif degree == 1:
-            state.prune_leaf(v, "final")
-            skipped = 0
-        else:
-            queue.append(v)
-            skipped += 1
-            if skipped == len(queue):  # a whole round without a rewrite
-                raise ReductionError("circuit did not collapse to a single resistor")
-    return state.resistance_between(state.source, state.sink)
+    value = state.resistance_between(state.source, state.sink)
+    if value != expected:
+        raise ReductionError("tail bookkeeping disagrees with the collapsed circuit")
+    return value
 
 
 def reduce_straight_state(
     n: int, observer: Optional[Observer] = None
 ) -> tuple[Fraction, ReductionState]:
     """Full end-to-end reduction of the straight family, with audit state."""
+    if n > ENGINE_VERTEX_GUARD:
+        raise GraphError(f"the reduction engine is guarded at n <= {ENGINE_VERTEX_GUARD}, got n = {n}")
     graph = straight_2tree(n)
     state = ReductionState(graph, source=1, sink=n, observer=observer)
     m = n - 2
     last_middle = _run_side(state, terminal=1, inward=2, steps=m, side="left", merge_last=False)
     state.prune_leaf(last_middle, "left")
     expected = sum((tr.t for tr in state.left_tails), Fraction(0)) + state.left_tails[-1].b
-    value = _collapse_to_single_edge(state)
-    if value != expected:
-        raise ReductionError("tail bookkeeping disagrees with the collapsed circuit")
-    return value, state
+    return _collapse_to_single_edge(state, expected), state
 
 
 def reduce_bent(
@@ -332,6 +327,8 @@ def reduce_bent(
     Reduces k-2 triangles from the left, then n-k-1 from the right, then
     combines the remaining parallel pair and the two tail chains.
     """
+    if n > ENGINE_VERTEX_GUARD:
+        raise GraphError(f"the reduction engine is guarded at n <= {ENGINE_VERTEX_GUARD}, got n = {n}")
     graph = bent_2tree(n, k)
     state = ReductionState(graph, source=1, sink=n, observer=observer)
     p = k - 2
@@ -345,7 +342,4 @@ def reduce_bent(
         + sum((tr.t for tr in state.left_tails), Fraction(0))
         + sum((tr.t for tr in state.right_tails), Fraction(0))
     )
-    value = _collapse_to_single_edge(state)
-    if value != expected:
-        raise ReductionError("tail bookkeeping disagrees with the collapsed circuit")
-    return value, state
+    return _collapse_to_single_edge(state, expected), state

@@ -17,6 +17,7 @@ from twotree import (
     ReductionError,
     bent_2tree,
     bent_resistance_alternating,
+    bent_resistance_product,
     ratio_string,
 )
 from twotree import cli
@@ -387,6 +388,28 @@ def test_oversized_exact_request_is_usage_error(capsys):
         assert code == 2
         assert out == ""
         assert "guarded at n <= 2000" in err
+
+
+def test_oversized_engine_request_is_usage_error(capsys, monkeypatch):
+    def no_chain(*args):
+        pytest.fail("a chain was built past the engine guard")
+
+    monkeypatch.setattr("twotree.reduction.bent_2tree", no_chain)
+    monkeypatch.setattr("twotree.reduction.straight_2tree", no_chain)
+    for argv in (
+        ("resistance", "bent", "--n", "10001", "--k", "5000"),
+        ("resistance", "straight", "--n", "10001"),
+        ("reduce", "bent", "10001", "5000"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "engine is guarded at n <= 10000, got n = 10001" in err
+    code, out, _ = run_cli(
+        capsys, "resistance", "bent", "--n", "10001", "--k", "5000", "--methods", "product", "--format", "json"
+    )
+    assert code == 0
+    assert json.loads(out)["exact"] == ratio_string(bent_resistance_product(BentParams(10001, 5000)))
 
 
 # Runs in a fresh interpreter, since this test session has already loaded numpy.

@@ -7,7 +7,6 @@ import pytest
 
 from twotree import (
     BentParams,
-    alternating_term,
     bent_2tree,
     bent_resistance_alternating,
     bent_resistance_product,
@@ -22,7 +21,7 @@ from twotree import (
     tail_sum_closed_form,
     telescoping_difference,
 )
-from twotree.formulas import straight_end_resistance
+from twotree.formulas import _alternating_summand, straight_end_resistance
 
 
 def test_bent_params_normalisation():
@@ -107,7 +106,7 @@ def test_bent_alternating_spot_values():
     p = BentParams(6, 3)
     assert Fraction(p.m + 1, 5) == 1
     assert Fraction(4 * fib(5), 5 * lucas(5)) == Fraction(4, 11)
-    assert Fraction(alternating_term(4, 3), fib(10)) == Fraction(-9, 55)
+    assert Fraction(_alternating_summand(4, 3, fib(6)), fib(10)) == Fraction(-9, 55)
     assert bent_resistance_alternating(p) == Fraction(6, 5)
     engine_value, _ = reduce_bent(7, 4)
     assert bent_resistance_alternating(BentParams(7, 4)) == engine_value

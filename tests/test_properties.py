@@ -14,8 +14,6 @@ from hypothesis import strategies as st
 
 from twotree import (
     BentParams,
-    ReductionError,
-    ReductionState,
     WeightedGraph,
     bent_2tree,
     bent_resistance_alternating,
@@ -24,7 +22,6 @@ from twotree import (
     resistance_exact,
     resistance_float,
 )
-from twotree.reduction import _collapse_to_single_edge
 
 from test_resistance import _resistance_plain_gauss
 
@@ -92,44 +89,6 @@ def test_rayleigh_monotonicity(g, data):
         thinner = WeightedGraph(g.n, [e for e in g.edges if e[:2] != (a, b)])
         if thinner.is_connected():
             assert resistance_exact(thinner, i, j) >= before
-
-
-def _collapse_by_passes(state):
-    """Referee: sweep the sorted interior until a sweep changes nothing."""
-    while True:
-        interior = [v for v in state.vertices if v not in (state.source, state.sink)]
-        if not interior:
-            return state.resistance_between(state.source, state.sink)
-        progressed = False
-        for v in interior:
-            degree = len(state.neighbors(v))
-            if degree == 2:
-                state.merge_series_at(v, "final")
-            elif degree == 1:
-                state.prune_leaf(v, "final")
-            progressed = progressed or degree in (1, 2)
-        if not progressed:
-            raise ReductionError("circuit did not collapse to a single resistor")
-
-
-def _collapse_outcome(collapse, g):
-    state = ReductionState(g, source=1, sink=g.n)
-    try:
-        value = collapse(state)
-    except ReductionError:
-        value = None
-    return value, [(r.kind, r.nodes, r.inputs, r.outputs) for r in state.log]
-
-
-@settings(deadline=None)
-@given(g=shuffled_graphs())
-def test_final_collapse_keeps_the_sweep_order(g):
-    # Same steps in the same order as sweeping the sorted interior, and the
-    # same refusal when the circuit is not series-parallel.
-    value, log = _collapse_outcome(_collapse_to_single_edge, g)
-    assert (value, log) == _collapse_outcome(_collapse_by_passes, g)
-    if value is not None:
-        assert value == resistance_exact(g, 1, g.n)
 
 
 @settings(deadline=None)

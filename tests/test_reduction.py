@@ -8,9 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twotree import (
+    BentParams,
+    GraphError,
     ReductionError,
+    ReductionState,
     TailTriple,
+    WeightedGraph,
     bent_2tree,
+    bent_resistance_product,
     delta_y,
     fib,
     lucas,
@@ -21,6 +26,8 @@ from twotree import (
     straight_2tree,
     straight_pair_resistance,
 )
+from twotree.formulas import straight_end_resistance
+from twotree.reduction import _collapse_to_single_edge
 
 
 def test_delta_y_symmetric_triangle():
@@ -230,3 +237,58 @@ def test_assembly_matches_tail_formula():
         parallel = through_k * through_k1 / (through_k + through_k1)
         tails = sum(tr.t for tr in state.left_tails) + sum(tr.t for tr in state.right_tails)
         assert value == parallel + tails
+
+
+def _assert_final_pass_is_sorted(n, state):
+    final = [record for record in state.log if record.side == "final"]
+    removed = [record.nodes[1] for record in final if record.kind == "series"]
+    assert final and final[0].kind == "series"
+    assert removed == sorted(set(removed))
+    for before, record in zip(final, final[1:]):
+        if record.kind == "parallel":
+            u, _, w = before.nodes
+            assert before.kind == "series" and record.nodes == (min(u, w), max(u, w))
+        else:
+            assert record.kind == "series"
+    assert state.vertices == [1, n]
+
+
+def test_final_collapse_is_one_sorted_pass_of_series_merges():
+    for n in range(6, 41):
+        for k in range(3, n - 2):
+            value, state = reduce_bent(n, k)
+            _assert_final_pass_is_sorted(n, state)
+            assert value == bent_resistance_product(BentParams(n, k))
+    for n in range(3, 121):
+        value, state = reduce_straight_state(n)
+        _assert_final_pass_is_sorted(n, state)
+        assert value == straight_end_resistance(n - 2)
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [
+        [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)],  # K4
+        [(1, 3), (2, 3), (3, 4)],  # path 1-3-4 with the pendant leaf 2
+    ],
+)
+def test_final_collapse_refuses_a_circuit_that_is_not_a_chain(edges):
+    g = WeightedGraph(4, [(i, j, 1) for i, j in edges])
+    state = ReductionState(g, source=1, sink=4)
+    with pytest.raises(ReductionError, match="series merge needs degree 2"):
+        _collapse_to_single_edge(state, resistance_exact(g, 1, 4))
+
+
+def test_final_collapse_checks_the_tail_bookkeeping():
+    assert _collapse_to_single_edge(ReductionState(straight_2tree(3), 1, 3), Fraction(2, 3)) == Fraction(2, 3)
+    with pytest.raises(ReductionError, match="tail bookkeeping disagrees"):
+        _collapse_to_single_edge(ReductionState(straight_2tree(3), 1, 3), Fraction(1))
+
+def test_engine_guard_admits_n_up_to_the_bound(monkeypatch):
+    monkeypatch.setattr("twotree.reduction.ENGINE_VERTEX_GUARD", 12)
+    assert reduce_bent(12, 5)[0] == bent_resistance_product(BentParams(12, 5))
+    assert reduce_straight_state(12)[0] == straight_end_resistance(10)
+    with pytest.raises(GraphError, match="guarded at n <= 12, got n = 13"):
+        reduce_bent(13, 5)
+    with pytest.raises(GraphError, match="guarded at n <= 12, got n = 13"):
+        reduce_straight_state(13)
