@@ -28,8 +28,8 @@ from .formulas import (
 from .graphs import GraphError, WeightedGraph, bent_2tree, straight_2tree
 from .identities import PROFILES, run_all
 from .rational import decimal_string, ratio_string
-from .reduction import ReductionError, reduce_bent, reduce_straight_state
-from .resistance import resistance_exact, resistance_float
+from .reduction import ReductionError, check_engine_size, reduce_bent, reduce_straight_state
+from .resistance import check_oracle_size, resistance_exact, resistance_float
 
 FLOAT_RELATIVE_TOLERANCE = 1e-9
 ORACLE_DEFAULT_CUTOFF = 200
@@ -65,6 +65,10 @@ _STRAIGHT_METHODS = {
 
 _ORACLES = ("exact", "float")
 
+# Checked before any route runs, so that no route runs only for a later
+# one to refuse the size.
+_SIZE_GUARDS = {"engine": check_engine_size, "exact": check_oracle_size, "float": check_oracle_size}
+
 
 def _applicable_methods(family: str, n: int, i: int, j: int) -> list[str]:
     if family == "bent":
@@ -98,6 +102,12 @@ def _resolve_methods(requested: Optional[str], family: str, n: int, i: int, j: i
                 f"method {m!r} is not applicable here; choose from {', '.join(applicable)}"
             )
     return chosen
+
+
+def _check_sizes(methods: list[str], n: int) -> None:
+    for tag in methods:
+        if tag in _SIZE_GUARDS:
+            _SIZE_GUARDS[tag](n)
 
 
 def _validate_query(family: str, n: int, k: Optional[int], i: Optional[int], j: Optional[int]):
@@ -236,6 +246,7 @@ def _agreement_status(records: list[dict]) -> int:
 def _cmd_resistance(args, out) -> int:
     i, j = _validate_query(args.family, args.n, args.k, args.i, args.j)
     methods = _resolve_methods(args.methods, args.family, args.n, i, j)
+    _check_sizes(methods, args.n)
     record = build_record("resistance", args.family, args.n, args.k, i, j, methods, args.digits)
     emit_records([record], args.format, out)
     return _agreement_status([record])
@@ -276,6 +287,9 @@ def _cmd_sweep(args, out) -> int:
     size = _sweep_size(args.family, lo, hi, args.k_policy, args.k)
     if size > MAX_SWEEP_RECORDS:
         raise UsageError(f"sweep of {size} records exceeds MAX_SWEEP_RECORDS = {MAX_SWEEP_RECORDS}")
+    if size:
+        # Every n of a sweep selects the same routes, and the guards bound n.
+        _check_sizes(_resolve_methods(args.methods, args.family, hi, 1, hi), hi)
     records = []
     for n in range(lo, hi + 1):
         if args.family == "straight":

@@ -19,6 +19,8 @@ class GraphError(ValueError):
 
 EdgeInput = tuple[int, int, "Fraction | int"]
 
+_UNIT = Fraction(1)  # every edge of the unit chains shares it: no Fraction per edge
+
 
 class WeightedGraph:
     """Undirected graph on vertices 1..n with strictly positive edge weights.
@@ -139,7 +141,7 @@ def straight_2tree(n: int) -> WeightedGraph:
     if n < 3:
         raise GraphError("a straight linear 2-tree needs n >= 3")
     edges = [
-        (i, j, 1)
+        (i, j, _UNIT)
         for i in range(1, n + 1)
         for j in (i + 1, i + 2)
         if j <= n
@@ -157,10 +159,10 @@ def bent_2tree(n: int, k: int) -> WeightedGraph:
     if not 3 <= k <= n - 3:
         raise GraphError(f"bend vertex must satisfy 3 <= k <= n-3, got k={k} for n={n}")
     edges = [
-        (i, j, 1)
+        (i, j, _UNIT)
         for i in range(1, n + 1)
         for j in (i + 1, i + 2)
         if j <= n and (i, j) != (k + 1, k + 3)
     ]
-    edges.append((k, k + 3, 1))
+    edges.append((k, k + 3, _UNIT))
     return WeightedGraph(n, edges)

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from math import lcm
+from typing import Callable, NamedTuple, Optional
 
 from .graphs import GraphError, WeightedGraph, bent_2tree, straight_2tree
 from .rational import as_rational, parallel_combine, ratio_string, series_combine
@@ -21,6 +22,12 @@ from .rational import as_rational, parallel_combine, ratio_string, series_combin
 # The engine keeps its whole step log and its time grows about as n^2, so
 # larger chains are refused before one is built.
 ENGINE_VERTEX_GUARD = 10_000
+
+
+def check_engine_size(n: int) -> None:
+    """Refuse a chain on more than ENGINE_VERTEX_GUARD vertices."""
+    if n > ENGINE_VERTEX_GUARD:
+        raise GraphError(f"the reduction engine is guarded at n <= {ENGINE_VERTEX_GUARD}, got n = {n}")
 
 
 class ReductionError(ValueError):
@@ -36,18 +43,33 @@ def delta_y(
 
     With s = r_a + r_b + r_c the branches are (r_b*r_c/s, r_a*r_c/s,
     r_a*r_b/s); branch i attaches to the triangle node opposite edge i.
-    Written in lowest terms as r_a = p/q, r_b = r/u, r_c = w/v, every
-    branch is an integer product over t = s*q*u*v = p*u*v + r*q*v + w*q*u,
-    so each one costs a single reduction to lowest terms.
+    They are computed over one common denominator: written in lowest terms
+    as r_a = p/q, r_b = r/u, r_c = w/v, the inputs go over D = lcm(q, u, v)
+    as P = p*D/q, R = r*D/u and S = P + R + w*D/v.  Then x = R/S = r_b/s
+    and y = P/S = r_a/s, each one reduction to lowest terms on integers of
+    about one input's size, and the branches are (x*r_c, y*r_c, x*r_a),
+    `Fraction` products whose gcds run on single factors.  When r_c = 1,
+    the base of every triangle the engine transforms, x and y are branches
+    as they stand.
     """
     a, b, c = as_rational(r_a), as_rational(r_b), as_rational(r_c)
-    p, q = a.numerator, a.denominator
-    r, u = b.numerator, b.denominator
-    w, v = c.numerator, c.denominator
-    if p <= 0 or r <= 0 or w <= 0:
+    if a.numerator <= 0 or b.numerator <= 0 or c.numerator <= 0:
         raise ReductionError("triangle resistances must be strictly positive")
-    t = p * u * v + r * q * v + w * q * u
-    return Fraction(r * w * q, t), Fraction(p * w * u, t), Fraction(p * r * v, t)
+    return _star_branches(a, b, c)
+
+
+def _star_branches(a: Fraction, b: Fraction, c: Fraction) -> tuple[Fraction, Fraction, Fraction]:
+    """`delta_y` of strictly positive Fractions, without the input checks."""
+    q, u, v = a.denominator, b.denominator, c.denominator
+    d = lcm(q, u, v)
+    big_p = a.numerator * (d // q)
+    big_r = b.numerator * (d // u)
+    total = big_p + big_r + c.numerator * (d // v)
+    x = Fraction(big_r, total)
+    y = Fraction(big_p, total)
+    if c.numerator == v == 1:
+        return x, y, x * a
+    return x * c, y * c, x * a
 
 
 @dataclass(frozen=True)
@@ -64,8 +86,7 @@ class TailTriple:
             raise ReductionError("tail triple entries must be strictly positive")
 
 
-@dataclass(frozen=True)
-class StepRecord:
+class StepRecord(NamedTuple):
     """One elementary circuit rewrite.
 
     For kind "delta_y": nodes = (anchor, middle, far, star), inputs are the
@@ -119,7 +140,8 @@ class ReductionState:
         self.log: list[StepRecord] = []
         self._adj: dict[int, dict[int, Fraction]] = {v: {} for v in range(1, graph.n + 1)}
         for i, j, w in graph.edges:
-            r = Fraction(w.denominator, w.numerator)
+            # A unit weight is its own resistance; the chain builders share one.
+            r = w if w == 1 else Fraction(w.denominator, w.numerator)
             self._adj[i][j] = r
             self._adj[j][i] = r
         self._next_label = graph.n
@@ -155,49 +177,32 @@ class ReductionState:
 
     # -- elementary rewrites --------------------------------------------------
 
-    def _emit(self, side: str, kind: str, nodes, inputs, outputs) -> StepRecord:
-        record = StepRecord(
-            index=len(self.log) + 1,
-            side=side,
-            kind=kind,
-            nodes=tuple(nodes),
-            inputs=tuple(inputs),
-            outputs=tuple(outputs),
-        )
+    def _emit(self, side: str, kind: str, nodes, inputs, outputs) -> None:
+        record = StepRecord(len(self.log) + 1, side, kind, nodes, inputs, outputs)
         self.log.append(record)
         if self._observer is not None:
             self._observer(self, record)
-        return record
-
-    def _new_star(self) -> int:
-        self._next_label += 1
-        self._adj[self._next_label] = {}
-        return self._next_label
-
-    def _unlink(self, u: int, v: int) -> None:
-        del self._adj[u][v]
-        del self._adj[v][u]
 
     def apply_delta_y(self, anchor: int, middle: int, far: int, side: str, j: int) -> tuple[int, TailTriple]:
         """Transform the triangle (anchor, middle, far) into a star."""
-        r_a = self.resistance_between(anchor, middle)
-        r_b = self.resistance_between(anchor, far)
-        r_c = self.resistance_between(middle, far)
+        adj = self._adj
+        try:
+            at_anchor, at_middle, at_far = adj[anchor], adj[middle], adj[far]
+            r_a, r_b, r_c = at_anchor[middle], at_anchor[far], at_middle[far]
+        except KeyError:
+            raise ReductionError(f"no resistor triangle on {anchor}, {middle}, {far}") from None
         if r_c != 1:
             raise ReductionError(
                 f"chain invariant broken: edge {middle}-{far} has resistance {r_c}, expected 1"
             )
-        r_1, r_2, r_3 = delta_y(r_a, r_b, r_c)
-        star = self._new_star()
-        self._unlink(anchor, middle)
-        self._unlink(anchor, far)
-        self._unlink(middle, far)
-        self._adj[star][anchor] = r_3
-        self._adj[anchor][star] = r_3
-        self._adj[star][middle] = r_2
-        self._adj[middle][star] = r_2
-        self._adj[star][far] = r_1
-        self._adj[far][star] = r_1
+        r_1, r_2, r_3 = _star_branches(r_a, r_b, r_c)
+        del at_anchor[middle], at_anchor[far], at_middle[anchor], at_middle[far]
+        del at_far[anchor], at_far[middle]
+        self._next_label = star = self._next_label + 1
+        adj[star] = {anchor: r_3, middle: r_2, far: r_1}
+        at_anchor[star] = r_3
+        at_middle[star] = r_2
+        at_far[star] = r_1
         self._emit(side, "delta_y", (anchor, middle, far, star), (r_a, r_b, r_c), (r_1, r_2, r_3))
         return star, TailTriple(j=j, t=r_3, s=r_2, b=r_1)
 
@@ -209,27 +214,26 @@ class ReductionState:
         spot (the circuit never holds parallel duplicates).  Returns the two
         neighbors, in ascending order.
         """
-        nbrs = self.neighbors(v)
-        if len(nbrs) != 2:
-            raise ReductionError(f"series merge needs degree 2 at {v}, found {len(nbrs)}")
-        u, w = nbrs
-        r_u = self._adj[v][u]
-        r_w = self._adj[v][w]
+        adj = self._adj
+        at_v = adj.get(v, ())
+        if len(at_v) != 2:
+            raise ReductionError(f"series merge needs degree 2 at {v}, found {len(at_v)}")
+        (u, r_u), (w, r_w) = at_v.items()
+        if u > w:
+            u, r_u, w, r_w = w, r_w, u, r_u
         merged = series_combine(r_u, r_w)
-        self._unlink(v, u)
-        self._unlink(v, w)
-        del self._adj[v]
-        existing = self._adj[u].get(w)
+        del adj[v]
+        at_u, at_w = adj[u], adj[w]
+        del at_u[v], at_w[v]
+        existing = at_u.get(w)
         if existing is None:
-            self._adj[u][w] = merged
-            self._adj[w][u] = merged
+            at_u[w] = at_w[u] = merged
             self._emit(side, "series", (u, v, w), (r_u, r_w), (merged,))
             return u, w
         combined = parallel_combine(existing, merged)
-        self._adj[u][w] = combined
-        self._adj[w][u] = combined
+        at_u[w] = at_w[u] = combined
         self._emit(side, "series", (u, v, w), (r_u, r_w), (merged,))
-        self._emit(side, "parallel", (min(u, w), max(u, w)), (existing, merged), (combined,))
+        self._emit(side, "parallel", (u, w), (existing, merged), (combined,))
         return u, w
 
     def prune_leaf(self, v: int, side: str) -> None:
@@ -238,9 +242,8 @@ class ReductionState:
         if len(nbrs) != 1:
             raise ReductionError(f"prune needs degree 1 at {v}, found {len(nbrs)}")
         (u,) = nbrs
-        r = self._adj[v][u]
-        self._unlink(v, u)
-        del self._adj[v]
+        r = self._adj.pop(v)[u]
+        del self._adj[u][v]
         self._emit(side, "prune", (v, u), (r,), ())
 
 
@@ -308,8 +311,7 @@ def reduce_straight_state(
     n: int, observer: Optional[Observer] = None
 ) -> tuple[Fraction, ReductionState]:
     """Full end-to-end reduction of the straight family, with audit state."""
-    if n > ENGINE_VERTEX_GUARD:
-        raise GraphError(f"the reduction engine is guarded at n <= {ENGINE_VERTEX_GUARD}, got n = {n}")
+    check_engine_size(n)
     graph = straight_2tree(n)
     state = ReductionState(graph, source=1, sink=n, observer=observer)
     m = n - 2
@@ -327,8 +329,7 @@ def reduce_bent(
     Reduces k-2 triangles from the left, then n-k-1 from the right, then
     combines the remaining parallel pair and the two tail chains.
     """
-    if n > ENGINE_VERTEX_GUARD:
-        raise GraphError(f"the reduction engine is guarded at n <= {ENGINE_VERTEX_GUARD}, got n = {n}")
+    check_engine_size(n)
     graph = bent_2tree(n, k)
     state = ReductionState(graph, source=1, sink=n, observer=observer)
     p = k - 2

@@ -22,13 +22,18 @@ from .graphs import GraphError, WeightedGraph
 ORACLE_VERTEX_GUARD = 2000
 
 
+def check_oracle_size(n: int) -> None:
+    """Refuse a graph on more than ORACLE_VERTEX_GUARD vertices."""
+    if n > ORACLE_VERTEX_GUARD:
+        raise GraphError(
+            f"the Laplacian oracles are guarded at n <= {ORACLE_VERTEX_GUARD}, got n = {n}"
+        )
+
+
 def _check_query(g: WeightedGraph, i: int, j: int) -> None:
     if not (1 <= i <= g.n and 1 <= j <= g.n):
         raise GraphError(f"vertex pair ({i},{j}) out of range 1..{g.n}")
-    if g.n > ORACLE_VERTEX_GUARD:
-        raise GraphError(
-            f"the Laplacian oracles are guarded at n <= {ORACLE_VERTEX_GUARD}, got n = {g.n}"
-        )
+    check_oracle_size(g.n)
 
 
 def _envelope_solve(upper: list[list[int]], lo: list[int], rhs: list[int]) -> tuple[list[int], int]:

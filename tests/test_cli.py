@@ -1,11 +1,13 @@
 """End-to-end command-line behaviour, driven in-process."""
 
 import csv
+import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -410,6 +412,39 @@ def test_oversized_engine_request_is_usage_error(capsys, monkeypatch):
     )
     assert code == 0
     assert json.loads(out)["exact"] == ratio_string(bent_resistance_product(BentParams(10001, 5000)))
+
+
+def test_oversized_requests_are_refused_before_any_route(capsys):
+    # Checked only after the routes ran, the alternating form or the smaller
+    # sizes of a sweep would take seconds to minutes before the refusal.
+    for argv in (
+        ("resistance", "bent", "--n", "100000", "--k", "50000"),
+        ("resistance", "straight", "--n", "100000"),
+        ("resistance", "bent", "--n", "2001", "--k", "1000", "--methods", "alternating,exact"),
+        ("sweep", "bent", "--n", "100000:100000", "--k-policy", "center"),
+        ("sweep", "bent", "--n", "9990:10001", "--k-policy", "center"),
+        ("sweep", "straight", "--n", "1990:2001", "--methods", "formula,float"),
+    ):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 1, argv
+        assert code == 2, argv
+        assert out == ""
+        assert "guarded at n <=" in err
+
+
+@pytest.mark.parametrize(
+    "argv, lines, digest",
+    [
+        (("bent", "300", "120"), 894, "b8100c378e0758ffbd101cd273190cccbdb05914c600207b85a856e30ab2f0c0"),
+        (("straight", "300"), 895, "18af516010941fbb477f58057200bdbdd67f3e80c1da042ab2c5cfcd3af9e061"),
+    ],
+)
+def test_reduce_step_log_is_pinned(capsys, argv, lines, digest):
+    code, out, _ = run_cli(capsys, "reduce", *argv, "--emit-log", "--format", "json")
+    assert code == 0
+    assert out.count("\n") == lines
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 # Runs in a fresh interpreter, since this test session has already loaded numpy.

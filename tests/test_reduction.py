@@ -81,7 +81,8 @@ _positive_rationals = st.one_of(
 
 
 @settings(deadline=None, max_examples=300)
-@given(a=_positive_rationals, b=_positive_rationals, c=_positive_rationals)
+# The engine only transforms triangles with a unit base, r_c = 1.
+@given(a=_positive_rationals, b=_positive_rationals, c=st.one_of(st.just(Fraction(1)), _positive_rationals))
 def test_delta_y_matches_plain_arithmetic(a, b, c):
     _assert_matches_referee((a, b, c), delta_y(a, b, c))
 
