@@ -10,8 +10,6 @@ from .formulas import (
     bent_resistance_alternating,
     bent_resistance_product,
     straight_pair_resistance,
-    tail_sum,
-    tail_sum_closed_form,
     telescoping_difference,
 )
 from .graphs import (
@@ -20,61 +18,39 @@ from .graphs import (
     bent_2tree,
     straight_2tree,
 )
-from .identities import (
-    PROFILES,
-    REGISTRY,
-    Identity,
-    IdentityReport,
-    UnknownIdentityError,
-    check_identity,
-    run_all,
-)
-from .rational import (
-    as_rational,
-    decimal_string,
-    parallel_combine,
-    ratio_string,
-    series_combine,
-)
+from .rational import ratio_string
 from .reduction import (
     ReductionError,
-    ReductionState,
-    StepRecord,
-    TailTriple,
-    delta_y,
     reduce_bent,
     reduce_straight_chain,
     reduce_straight_state,
 )
 from .resistance import resistance_exact, resistance_float
-from .sequences import fib, index_limit, lucas
+from .sequences import fib, lucas
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # Only `verify` needs the identity catalogue, so it loads on first access.
+    if name in ("REGISTRY", "run_all"):
+        from . import identities
+
+        return getattr(identities, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "BentParams",
     "GraphError",
-    "Identity",
-    "IdentityReport",
-    "PROFILES",
     "REGISTRY",
     "ReductionError",
-    "ReductionState",
-    "StepRecord",
-    "TailTriple",
-    "UnknownIdentityError",
     "WeightedGraph",
-    "as_rational",
     "bent_2tree",
     "bent_resistance_alternating",
     "bent_resistance_product",
-    "check_identity",
-    "decimal_string",
-    "delta_y",
     "fib",
-    "index_limit",
     "lucas",
-    "parallel_combine",
     "ratio_string",
     "reduce_bent",
     "reduce_straight_chain",
@@ -82,10 +58,7 @@ __all__ = [
     "resistance_exact",
     "resistance_float",
     "run_all",
-    "series_combine",
     "straight_2tree",
     "straight_pair_resistance",
-    "tail_sum",
-    "tail_sum_closed_form",
     "telescoping_difference",
 ]

@@ -26,7 +26,6 @@ from .formulas import (
     straight_pair_resistance,
 )
 from .graphs import GraphError, WeightedGraph, bent_2tree, straight_2tree
-from .identities import PROFILES, run_all
 from .rational import decimal_string, ratio_string
 from .reduction import ReductionError, check_engine_size, reduce_bent, reduce_straight_state
 from .resistance import check_oracle_size, resistance_exact, resistance_float
@@ -36,6 +35,9 @@ ORACLE_DEFAULT_CUTOFF = 200
 # A sweep holds every record in memory until it prints them, so larger
 # grids are refused before any record is computed.
 MAX_SWEEP_RECORDS = 10_000
+# identities.PROFILES, repeated so that only `verify` loads the catalogue;
+# a test keeps the two equal.
+PROFILES = ("small", "standard", "deep")
 
 CSV_COLUMNS = ("command", "family", "n", "k", "i", "j", "exact", "decimal", "methods", "agree")
 
@@ -104,10 +106,20 @@ def _resolve_methods(requested: Optional[str], family: str, n: int, i: int, j: i
     return chosen
 
 
-def _check_sizes(methods: list[str], n: int) -> None:
+def _check_sizes(requested: Optional[str], family: str, methods: list[str], n: int) -> None:
     for tag in methods:
         if tag in _SIZE_GUARDS:
-            _SIZE_GUARDS[tag](n)
+            try:
+                _SIZE_GUARDS[tag](n)
+            except GraphError as exc:
+                if requested not in (None, "default"):
+                    raise
+                table = _BENT_METHODS if family == "bent" else _STRAIGHT_METHODS
+                unguarded = ",".join(m for m in table if m not in _SIZE_GUARDS)
+                raise UsageError(
+                    f"{exc}; the default methods include {tag!r}, so pass"
+                    f" --methods {unguarded} for the closed forms alone"
+                ) from None
 
 
 def _validate_query(family: str, n: int, k: Optional[int], i: Optional[int], j: Optional[int]):
@@ -246,7 +258,7 @@ def _agreement_status(records: list[dict]) -> int:
 def _cmd_resistance(args, out) -> int:
     i, j = _validate_query(args.family, args.n, args.k, args.i, args.j)
     methods = _resolve_methods(args.methods, args.family, args.n, i, j)
-    _check_sizes(methods, args.n)
+    _check_sizes(args.methods, args.family, methods, args.n)
     record = build_record("resistance", args.family, args.n, args.k, i, j, methods, args.digits)
     emit_records([record], args.format, out)
     return _agreement_status([record])
@@ -289,7 +301,7 @@ def _cmd_sweep(args, out) -> int:
         raise UsageError(f"sweep of {size} records exceeds MAX_SWEEP_RECORDS = {MAX_SWEEP_RECORDS}")
     if size:
         # Every n of a sweep selects the same routes, and the guards bound n.
-        _check_sizes(_resolve_methods(args.methods, args.family, hi, 1, hi), hi)
+        _check_sizes(args.methods, args.family, _resolve_methods(args.methods, args.family, hi, 1, hi), hi)
     records = []
     for n in range(lo, hi + 1):
         if args.family == "straight":
@@ -311,6 +323,8 @@ def _cmd_sweep(args, out) -> int:
 
 
 def _cmd_verify(args, out) -> int:
+    from .identities import run_all
+
     reports = run_all(profile=args.profile)
     failures = 0
     for report in reports:

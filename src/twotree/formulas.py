@@ -7,31 +7,42 @@ independent confirmations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd
 
 from .sequences import fib, lucas
 
 
-@dataclass(frozen=True)
-class BentParams:
+class BentParams(namedtuple("BentParams", ("n", "k"))):
     """Normalised parameters of a bent chain: n vertices, bend at k.
 
     Derived quantities: m = n - 2 triangles, left transform count p = k - 2,
     right transform count ell = m - k + 1 = n - k - 1.
     """
 
-    n: int
-    k: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 6:
+    def __new__(cls, n: int, k: int) -> "BentParams":
+        if n < 6:
             raise ValueError("a bent chain needs n >= 6")
-        if not 3 <= self.k <= self.n - 3:
-            raise ValueError(
-                f"bend vertex must satisfy 3 <= k <= n-3, got k={self.k} for n={self.n}"
-            )
+        if not 3 <= k <= n - 3:
+            raise ValueError(f"bend vertex must satisfy 3 <= k <= n-3, got k={k} for n={n}")
+        return super().__new__(cls, n, k)
+
+    @classmethod
+    def _make(cls, fields):
+        # `_replace` builds through here, so it validates too.
+        return cls(*fields)
+
+    # Equal only to another BentParams, never to a plain tuple.
+    def __eq__(self, other):
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    __hash__ = tuple.__hash__
 
     @property
     def m(self) -> int:

@@ -10,9 +10,8 @@ the CLI and the test suite.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Optional
+from typing import Callable, Mapping, NamedTuple, Optional
 
 from .formulas import tail_sum
 from .rational import ratio_string
@@ -163,14 +162,22 @@ def _tail_total_balance(m):
 
 # -- the registry -------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Identity:
+class Identity(NamedTuple):
     id: str
     statement: str
     params: tuple[str, ...]
     fn: CheckFn
     ranges: Mapping[str, Mapping[str, tuple[int, int]]]
     in_run_all: bool = True
+
+    # Equal only to another Identity, never to a plain tuple.
+    def __eq__(self, other):
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    __hash__ = tuple.__hash__
 
 
 def _spans(params, small, standard, deep):
@@ -311,8 +318,7 @@ REGISTRY: dict[str, Identity] = {
 }
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     """Outcome of sweeping one identity over a parameter box."""
 
     identity_id: str
@@ -320,6 +326,15 @@ class IdentityReport:
     status: str  # "pass" | "fail"
     counterexample: Optional[dict] = None
     mismatch: Optional[tuple[str, str]] = None
+
+    # Equal only to another IdentityReport, never to a plain tuple.
+    def __eq__(self, other):
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    __hash__ = tuple.__hash__
 
     def to_json_dict(self) -> dict:
         out = {

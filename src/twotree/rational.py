@@ -43,10 +43,19 @@ def parallel_combine(a: Fraction | int, b: Fraction | int) -> Fraction:
     return ra * rb / (ra + rb)
 
 
+def _int_string(i: int) -> str:
+    # str() refuses ints longer than sys.get_int_max_str_digits() (4300 by
+    # default); Decimal renders any int exactly, and changes no global limit.
+    try:
+        return str(i)
+    except ValueError:
+        return str(decimal.Decimal(i))
+
+
 def ratio_string(value: Fraction) -> str:
     """Render as "num/den", always including the denominator ("0/1", "6/5")."""
     q = as_rational(value)
-    return f"{q.numerator}/{q.denominator}"
+    return f"{_int_string(q.numerator)}/{_int_string(q.denominator)}"
 
 
 def decimal_string(value: Fraction, digits: int = 12) -> str:

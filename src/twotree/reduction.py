@@ -10,7 +10,7 @@ outside for auditing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import lcm
 from typing import Callable, NamedTuple, Optional
@@ -72,18 +72,29 @@ def _star_branches(a: Fraction, b: Fraction, c: Fraction) -> tuple[Fraction, Fra
     return x * c, y * c, x * a
 
 
-@dataclass(frozen=True)
-class TailTriple:
+class TailTriple(namedtuple("TailTriple", ("j", "t", "s", "b"))):
     """Branches of the j-th transform: tail t, merge-side s, far-side b."""
 
-    j: int
-    t: Fraction
-    s: Fraction
-    b: Fraction
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.t.numerator <= 0 or self.s.numerator <= 0 or self.b.numerator <= 0:
+    def __new__(cls, j: int, t: Fraction, s: Fraction, b: Fraction) -> "TailTriple":
+        if t.numerator <= 0 or s.numerator <= 0 or b.numerator <= 0:
             raise ReductionError("tail triple entries must be strictly positive")
+        return super().__new__(cls, j, t, s, b)
+
+    @classmethod
+    def _make(cls, fields):
+        # `_replace` builds through here, so it validates too.
+        return cls(*fields)
+
+    # Equal only to another TailTriple, never to a plain tuple.
+    def __eq__(self, other):
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    __hash__ = tuple.__hash__
 
 
 class StepRecord(NamedTuple):

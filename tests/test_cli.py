@@ -22,6 +22,7 @@ from twotree import (
     bent_resistance_product,
     ratio_string,
 )
+import twotree.identities
 from twotree import cli
 from twotree.cli import main
 from twotree.identities import Identity
@@ -165,6 +166,11 @@ def test_verify_mutated_registry_fails(capsys, monkeypatch):
 def test_verify_unknown_profile_is_usage_error(capsys):
     code, _, _ = run_cli(capsys, "verify", "--profile", "huge")
     assert code == 2
+
+
+def test_cli_profiles_are_the_catalogue_profiles():
+    # cli repeats the tuple so that its parser does not load the catalogue.
+    assert cli.PROFILES == twotree.identities.PROFILES
 
 
 def test_reduce_straight_triangle(capsys):
@@ -414,6 +420,36 @@ def test_oversized_engine_request_is_usage_error(capsys, monkeypatch):
     assert json.loads(out)["exact"] == ratio_string(bent_resistance_product(BentParams(10001, 5000)))
 
 
+@pytest.mark.parametrize(
+    "argv, closed_forms",
+    [
+        (("resistance", "bent", "--n", "20000", "--k", "10000"), "alternating,product"),
+        (("resistance", "straight", "--n", "20000"), "formula"),
+        (("sweep", "straight", "--n", "10001:10001"), "formula"),
+    ],
+)
+def test_refused_default_query_names_methods(capsys, argv, closed_forms):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert out == ""
+    assert "engine is guarded at n <= 10000" in err
+    assert f"--methods {closed_forms}" in err
+
+
+def test_product_answers_past_the_int_digit_limit(capsys):
+    # Its numerator and denominator have more than the 4300 digits that
+    # str() of an int allows by default.
+    code, out, _ = run_cli(
+        capsys, "resistance", "bent", "--n", "30000", "--k", "15000", "--methods", "product", "--format", "json"
+    )
+    assert code == 0
+    record = json.loads(out)
+    assert record["exact"] == ratio_string(bent_resistance_product(BentParams(30000, 15000)))
+    assert len(record["exact"]) > 2 * 4300
+
+
 def test_oversized_requests_are_refused_before_any_route(capsys):
     # Checked only after the routes ran, the alternating form or the smaller
     # sizes of a sweep would take seconds to minutes before the refusal.
@@ -447,46 +483,84 @@ def test_reduce_step_log_is_pinned(capsys, argv, lines, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-# Runs in a fresh interpreter, since this test session has already loaded numpy.
-# After each step it records the exit code, the stdout and whether numpy is loaded.
-_NUMPY_PROBE = """
+# Runs in a fresh interpreter, since this test session has already loaded
+# numpy and the identity catalogue.  After the import and after each command
+# it records the exit code, which of the watched modules are loaded, and the
+# stdout.
+_IMPORT_PROBE = """
 import contextlib, io, json, sys
+
+def loaded():
+    return [m for m in ("numpy", "twotree.identities", "dataclasses", "inspect") if m in sys.modules]
+
 import twotree
 from twotree.cli import main
 
-steps = [("import", None, "numpy" in sys.modules)]
+steps = [("import", None, loaded(), "")]
 for argv in json.loads(sys.argv[1]):
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
-    steps.append((argv, code, "numpy" in sys.modules, out.getvalue()))
+    steps.append((argv, code, loaded(), out.getvalue()))
 print(json.dumps(steps))
 """
 
 
+def _probe(argvs):
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, json.dumps(argvs)],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
 def test_numpy_loads_only_for_the_float_oracle():
-    argvs = [
+    imported, default_bent, interior, reduce_, refused, everything = _probe([
         ["resistance", "bent", "--n", "8", "--k", "4", "--format", "json"],
         ["resistance", "straight", "--n", "12", "--i", "2", "--j", "9", "--format", "json"],
         ["reduce", "bent", "8", "4"],
         ["resistance", "straight", "--n", "2001", "--i", "2", "--j", "9", "--methods", "float"],
         ["resistance", "bent", "--n", "8", "--k", "4", "--methods", "all", "--format", "json"],
-    ]
-    src = Path(__file__).resolve().parents[1] / "src"
-    proc = subprocess.run(
-        [sys.executable, "-c", _NUMPY_PROBE, json.dumps(argvs)],
-        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    imported, default_bent, interior, reduce_, refused, everything = json.loads(proc.stdout)
-    assert imported[2] is False
-    for _, code, numpy_loaded, _ in (default_bent, interior, reduce_):
+    ])
+    assert "numpy" not in imported[2]
+    for _, code, loaded, _ in (default_bent, interior, reduce_):
         assert code == 0
-        assert numpy_loaded is False
+        assert "numpy" not in loaded
     assert "exact" in json.loads(interior[3])["methods"]
-    assert refused[1:3] == [2, False]
-    _, code, numpy_loaded, out = everything
+    assert refused[1] == 2 and "numpy" not in refused[2]
+    _, code, loaded, out = everything
     assert code == 0
-    assert numpy_loaded is True
+    assert "numpy" in loaded
     record = json.loads(out)
     assert "float" in record["methods"] and record["agree"] is True
+
+
+def test_queries_never_load_the_catalogue():
+    # Only `verify` needs twotree.identities, and no value class is a
+    # dataclass, so a query never pays for dataclasses and inspect either.
+    *queries, verify = _probe([
+        ["resistance", "bent", "--n", "8", "--k", "4"],
+        ["resistance", "straight", "--n", "12"],
+        ["resistance", "straight", "--n", "12", "--i", "2", "--j", "9"],
+        ["sweep", "bent", "--n", "6:10"],
+        ["reduce", "straight", "9", "--emit-log"],
+        ["verify", "--profile", "small"],
+    ])
+    for argv, code, loaded, _ in queries:
+        assert code in (None, 0), argv
+        assert loaded == [], argv
+    assert verify[1] == 0
+    assert "twotree.identities" in verify[2]
+
+
+def test_package_serves_the_catalogue_on_access():
+    assert twotree.run_all is twotree.identities.run_all
+    assert twotree.REGISTRY is twotree.identities.REGISTRY
+    namespace = {}
+    exec("from twotree import *", namespace)
+    assert set(twotree.__all__) <= set(namespace)
+    assert namespace["run_all"] is twotree.identities.run_all
+    with pytest.raises(AttributeError, match="no_such_name"):
+        twotree.no_such_name

@@ -17,11 +17,14 @@ from twotree import (
     resistance_exact,
     straight_2tree,
     straight_pair_resistance,
-    tail_sum,
-    tail_sum_closed_form,
     telescoping_difference,
 )
-from twotree.formulas import _alternating_summand, straight_end_resistance
+from twotree.formulas import (
+    _alternating_summand,
+    straight_end_resistance,
+    tail_sum,
+    tail_sum_closed_form,
+)
 
 
 def test_bent_params_normalisation():
@@ -32,6 +35,23 @@ def test_bent_params_normalisation():
         BentParams(6, 4)
     with pytest.raises(ValueError):
         BentParams(5, 3)
+
+
+def test_bent_params_is_a_value():
+    p = BentParams(10, 4)
+    assert p == BentParams(n=10, k=4) and hash(p) == hash(BentParams(10, 4))
+    assert p != BentParams(10, 5)
+    # Equal to its own class only, never to the plain tuple of its fields.
+    assert p != (10, 4) and (10, 4) != p and not p == (10, 4)
+    assert repr(p) == "BentParams(n=10, k=4)"
+    with pytest.raises(AttributeError):
+        p.k = 5
+    with pytest.raises(ValueError, match="^a bent chain needs n >= 6$"):
+        BentParams(5, 3)
+    with pytest.raises(ValueError, match=r"^bend vertex must satisfy 3 <= k <= n-3, got k=8 for n=10$"):
+        BentParams(10, 8)
+    with pytest.raises(ValueError, match="got k=8 for n=10"):
+        p._replace(k=8)
 
 
 def test_straight_pair_examples():

@@ -2,15 +2,9 @@
 
 import pytest
 
-from twotree import (
-    REGISTRY,
-    UnknownIdentityError,
-    check_identity,
-    fib,
-    run_all,
-)
+from twotree import REGISTRY, fib, run_all
 import twotree.identities
-from twotree.identities import Identity, _sign
+from twotree.identities import Identity, IdentityReport, UnknownIdentityError, _sign, check_identity
 
 
 def test_registry_shape():
@@ -123,6 +117,53 @@ def test_report_json_shape():
     assert data["identity"] == "I-2.9"
     assert data["status"] == "pass"
     assert data["ranges"] == [{"param": "m", "lo": -5, "hi": 5}]
+
+
+def test_report_json_is_unchanged():
+    passed = IdentityReport("I-2.9", (("m", -5, 5),), "pass")
+    assert passed.to_json_dict() == {
+        "identity": "I-2.9",
+        "ranges": [{"param": "m", "lo": -5, "hi": 5}],
+        "status": "pass",
+    }
+    failed = IdentityReport(
+        identity_id="I-2.2",
+        ranges=(("m", 1, 3), ("k", 2, 2)),
+        status="fail",
+        counterexample={"m": 2, "k": 2},
+        mismatch=("3", "4"),
+    )
+    data = failed.to_json_dict()
+    assert list(data) == ["identity", "ranges", "status", "counterexample", "lhs", "rhs"]
+    assert data == {
+        "identity": "I-2.2",
+        "ranges": [{"param": "m", "lo": 1, "hi": 3}, {"param": "k", "lo": 2, "hi": 2}],
+        "status": "fail",
+        "counterexample": {"m": 2, "k": 2},
+        "lhs": "3",
+        "rhs": "4",
+    }
+
+
+def test_identity_records_are_values():
+    report = check_identity("I-2.9", ranges={"m": (-5, 5)})
+    same = IdentityReport("I-2.9", (("m", -5, 5),), "pass")
+    assert report == same and hash(report) == hash(same)
+    fields = ("I-2.9", (("m", -5, 5),), "pass", None, None)
+    assert report != fields and fields != report
+    assert report != IdentityReport("I-2.9", (("m", -5, 5),), "fail")
+    with pytest.raises(AttributeError):
+        report.status = "fail"
+    entry = REGISTRY["I-2.1"]
+    copy = Identity(entry.id, entry.statement, entry.params, entry.fn, entry.ranges)
+    assert entry == copy
+    assert entry != (entry.id, entry.statement, entry.params, entry.fn, entry.ranges, True)
+    assert entry.in_run_all is True
+    with pytest.raises(AttributeError):
+        entry.fn = None
+    # Its ranges are dicts, so an Identity is unhashable, as a frozen dataclass was.
+    with pytest.raises(TypeError):
+        hash(entry)
 
 
 def test_every_entry_carries_all_profiles():

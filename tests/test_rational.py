@@ -1,12 +1,14 @@
 """Exact rational primitives: combination laws and rendering."""
 
+import decimal
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
-from twotree import (
+from twotree.rational import (
     as_rational,
     decimal_string,
     parallel_combine,
@@ -80,6 +82,17 @@ def test_ratio_string_round_trip():
         assert Fraction(text) == q
     assert ratio_string(Fraction(0)) == "0/1"
     assert ratio_string(Fraction(2, 6)) == "1/3"
+
+
+def test_ratio_string_renders_past_the_int_digit_limit():
+    # Python refuses str() of an int over 4300 digits by default; the exact
+    # value is the product, so rendering must not refuse it.
+    limit = sys.get_int_max_str_digits()
+    q = Fraction(-(7 ** 5916), 3 ** 10480 + 2)  # 5000 and 5001 digits
+    num, den = ratio_string(q).split("/")
+    assert (len(num), len(den)) == (5001, 5001)  # the minus sign counts
+    assert Fraction(int(decimal.Decimal(num)), int(decimal.Decimal(den))) == q
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_decimal_string_digits():

@@ -11,12 +11,9 @@ from twotree import (
     BentParams,
     GraphError,
     ReductionError,
-    ReductionState,
-    TailTriple,
     WeightedGraph,
     bent_2tree,
     bent_resistance_product,
-    delta_y,
     fib,
     lucas,
     reduce_bent,
@@ -27,7 +24,7 @@ from twotree import (
     straight_pair_resistance,
 )
 from twotree.formulas import straight_end_resistance
-from twotree.reduction import _collapse_to_single_edge
+from twotree.reduction import ReductionState, TailTriple, _collapse_to_single_edge, delta_y
 
 
 def test_delta_y_symmetric_triangle():
@@ -104,6 +101,21 @@ def test_tail_triple_rejects_nonpositive_entries(bad, field):
     entries[field] = Fraction(bad)
     with pytest.raises(ReductionError):
         TailTriple(j=1, **entries)
+
+
+def test_tail_triple_is_a_value():
+    t = TailTriple(j=2, t=Fraction(1, 6), s=Fraction(1, 8), b=Fraction(1, 2))
+    same = TailTriple(2, Fraction(1, 6), Fraction(1, 8), Fraction(1, 2))
+    assert t == same and hash(t) == hash(same)
+    assert t != TailTriple(3, Fraction(1, 6), Fraction(1, 8), Fraction(1, 2))
+    fields = (2, Fraction(1, 6), Fraction(1, 8), Fraction(1, 2))
+    assert t != fields and fields != t
+    with pytest.raises(AttributeError):
+        t.s = Fraction(1)
+    with pytest.raises(ReductionError, match="^tail triple entries must be strictly positive$"):
+        TailTriple(2, Fraction(1, 6), Fraction(0), Fraction(1, 2))
+    with pytest.raises(ReductionError):
+        t._replace(b=Fraction(-1))
 
 
 def test_chain_first_steps():
