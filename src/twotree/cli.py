@@ -14,6 +14,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from fractions import Fraction
 from typing import Optional
@@ -35,6 +36,9 @@ ORACLE_DEFAULT_CUTOFF = 200
 # A sweep holds every record in memory until it prints them, so larger
 # grids are refused before any record is computed.
 MAX_SWEEP_RECORDS = 10_000
+# The summed cost of a sweep's routes (about 1 ns a unit, see _ROUTES), so
+# that a grid of few but costly records is refused before it runs for hours.
+MAX_SWEEP_COST = 100_000_000_000
 # identities.PROFILES, repeated so that only `verify` loads the catalogue;
 # a test keeps the two equal.
 PROFILES = ("small", "standard", "deep")
@@ -46,89 +50,99 @@ class UsageError(ValueError):
     """Bad parameters; reported with a diagnostic and exit code 2."""
 
 
-# Each route takes (n, k, i, j, graph); `graph` is the chain the oracles
-# share, built once per record and only when an oracle runs.
-_BENT_METHODS = {
-    "alternating": lambda n, k, i, j, g: bent_resistance_alternating(BentParams(n, k)),
-    "product": lambda n, k, i, j, g: bent_resistance_product(BentParams(n, k)),
-    "engine": lambda n, k, i, j, g: reduce_bent(n, k)[0],
-    "exact": lambda n, k, i, j, g: resistance_exact(g, i, j),
-    "float": lambda n, k, i, j, g: resistance_float(g, i, j),
+class _Route:
+    """call(n, k, i, j, chain) gives the value; guard(n), if set, refuses n past
+    its bound; cost(n, k) is the rough cost of one call, about 1 ns a unit.
+    An ends_only route answers only the end pair (1, n).  A route is a default
+    for (1, n) if default_at_ends, and for other pairs while n <=
+    default_inside_up_to.  An oracle runs on the chain the oracles share.
+    """
+
+    __slots__ = ("call", "guard", "cost", "ends_only", "default_at_ends", "default_inside_up_to", "oracle")
+
+    def __init__(self, call, guard, cost, ends_only, default_at_ends, default_inside_up_to, oracle):
+        self.call, self.guard, self.cost, self.ends_only = call, guard, cost, ends_only
+        self.default_at_ends, self.default_inside_up_to, self.oracle = default_at_ends, default_inside_up_to, oracle
+
+
+# Every route of the CLI.  A call looks its function up in this module when it
+# runs, so a wrapper or stub set here reaches it.  Costs are the measured
+# orders with coefficients from Python 3.11 on a 2-vCPU VM; the straight
+# engine reduces the whole chain, so it only gives r(1, n).
+_ROUTES = {
+    ("bent", "alternating"): _Route(
+        lambda n, k, i, j, g: bent_resistance_alternating(BentParams(n, k)),
+        None, lambda n, k: 6 * n * k, False, True, 0, False),
+    ("bent", "product"): _Route(
+        lambda n, k, i, j, g: bent_resistance_product(BentParams(n, k)),
+        None, lambda n, k: 100 * n, False, False, 0, False),
+    ("bent", "engine"): _Route(
+        lambda n, k, i, j, g: reduce_bent(n, k)[0],
+        check_engine_size, lambda n, k: 30 * n * n, True, True, 0, False),
+    ("bent", "exact"): _Route(
+        lambda n, k, i, j, g: resistance_exact(g, i, j),
+        check_oracle_size, lambda n, k: 100 * n * n, False, False, 0, True),
+    ("bent", "float"): _Route(
+        lambda n, k, i, j, g: resistance_float(g, i, j),
+        check_oracle_size, lambda n, k: n * n * n // 32, False, False, 0, True),
+    ("straight", "formula"): _Route(
+        lambda n, k, i, j, g: (
+            straight_end_resistance(n - 2) if (i, j) == (1, n) else straight_pair_resistance(n - 2, i, j - i)
+        ),
+        None, lambda n, k: 100 * n, False, True, math.inf, False),
+    ("straight", "engine"): _Route(
+        lambda n, k, i, j, g: reduce_straight_state(n)[0],
+        check_engine_size, lambda n, k: 60 * n * n, True, True, 0, False),
+    ("straight", "exact"): _Route(
+        lambda n, k, i, j, g: resistance_exact(g, i, j),
+        check_oracle_size, lambda n, k: 100 * n * n, False, False, ORACLE_DEFAULT_CUTOFF, True),
+    ("straight", "float"): _Route(
+        lambda n, k, i, j, g: resistance_float(g, i, j),
+        check_oracle_size, lambda n, k: n * n * n // 32, False, False, 0, True),
 }
-
-_STRAIGHT_METHODS = {
-    "formula": lambda n, k, i, j, g: (
-        straight_end_resistance(n - 2) if (i, j) == (1, n) else straight_pair_resistance(n - 2, i, j - i)
-    ),
-    "engine": lambda n, k, i, j, g: reduce_straight_state(n)[0],
-    "exact": lambda n, k, i, j, g: resistance_exact(g, i, j),
-    "float": lambda n, k, i, j, g: resistance_float(g, i, j),
-}
-
-_ORACLES = ("exact", "float")
-
-# Checked before any route runs, so that no route runs only for a later
-# one to refuse the size.
-_SIZE_GUARDS = {"engine": check_engine_size, "exact": check_oracle_size, "float": check_oracle_size}
-
-
-def _applicable_methods(family: str, n: int, i: int, j: int) -> list[str]:
-    if family == "bent":
-        return list(_BENT_METHODS)
-    # The straight engine reduces the whole chain, so it only gives r(1, n).
-    return [m for m in _STRAIGHT_METHODS if m != "engine" or (i, j) == (1, n)]
-
-
-def _default_methods(family: str, n: int, i: int, j: int) -> list[str]:
-    if family == "bent":
-        return ["alternating", "engine"]
-    if (i, j) == (1, n):
-        return ["formula", "engine"]
-    if n <= ORACLE_DEFAULT_CUTOFF:
-        return ["formula", "exact"]
-    return ["formula"]
 
 
 def _resolve_methods(requested: Optional[str], family: str, n: int, i: int, j: int) -> list[str]:
-    applicable = _applicable_methods(family, n, i, j)
+    """The routes a query runs; refuses any inapplicable, repeated or oversized one."""
+    ends = (i, j) == (1, n)
+    routes = {tag: r for (fam, tag), r in _ROUTES.items() if fam == family and (ends or not r.ends_only)}
     if requested is None or requested == "default":
-        return _default_methods(family, n, i, j)
-    if requested == "all":
-        return applicable
-    chosen = [m.strip() for m in requested.split(",") if m.strip()]
-    if not chosen:
-        raise UsageError("empty method list")
-    for m in chosen:
-        if m not in applicable:
-            raise UsageError(
-                f"method {m!r} is not applicable here; choose from {', '.join(applicable)}"
-            )
-    return chosen
-
-
-def _check_sizes(requested: Optional[str], family: str, methods: list[str], n: int) -> None:
-    for tag in methods:
-        if tag in _SIZE_GUARDS:
+        chosen = [t for t, r in routes.items() if (r.default_at_ends if ends else n <= r.default_inside_up_to)]
+    elif requested == "all":
+        chosen = list(routes)
+    else:
+        chosen = [m.strip() for m in requested.split(",") if m.strip()]
+        if not chosen:
+            raise UsageError("empty method list")
+        for at, m in enumerate(chosen):
+            if m not in routes:
+                raise UsageError(f"method {m!r} is not applicable here; choose from {', '.join(routes)}")
+            if m in chosen[:at]:
+                raise UsageError(f"method {m!r} is listed twice")
+    # Checked before any route runs, so that no route runs only for a later
+    # one to refuse the size.
+    for tag in chosen:
+        if routes[tag].guard is not None:
             try:
-                _SIZE_GUARDS[tag](n)
+                routes[tag].guard(n)
             except GraphError as exc:
                 if requested not in (None, "default"):
                     raise
-                table = _BENT_METHODS if family == "bent" else _STRAIGHT_METHODS
-                unguarded = ",".join(m for m in table if m not in _SIZE_GUARDS)
+                unguarded = ",".join(t for t, r in routes.items() if r.guard is None)
                 raise UsageError(
                     f"{exc}; the default methods include {tag!r}, so pass"
                     f" --methods {unguarded} for the closed forms alone"
                 ) from None
+    return chosen
 
 
 def _validate_query(family: str, n: int, k: Optional[int], i: Optional[int], j: Optional[int]):
+    qi = 1 if i is None else i
+    qj = n if j is None else j
     if family == "bent":
         if k is None:
             raise UsageError("bent queries need --k")
         BentParams(n, k)  # raises with the precondition named
-        qi = 1 if i is None else i
-        qj = n if j is None else j
         if (qi, qj) != (1, n):
             raise UsageError("bent-chain resistance is only supported between vertices 1 and n")
         return qi, qj
@@ -136,8 +150,6 @@ def _validate_query(family: str, n: int, k: Optional[int], i: Optional[int], j: 
         raise UsageError("straight chains need n >= 3")
     if k is not None:
         raise UsageError("--k applies to the bent family only")
-    qi = 1 if i is None else i
-    qj = n if j is None else j
     if not (1 <= qi < qj <= n):
         raise UsageError(f"need 1 <= i < j <= n, got i={qi}, j={qj}")
     return qi, qj
@@ -153,13 +165,12 @@ def build_record(
     methods: list[str],
     digits: int,
 ) -> dict:
-    table = _BENT_METHODS if family == "bent" else _STRAIGHT_METHODS
     graph = None
-    if any(tag in _ORACLES for tag in methods):
+    if any(_ROUTES[family, tag].oracle for tag in methods):
         graph = bent_2tree(n, k) if family == "bent" else straight_2tree(n)
     values: dict[str, Fraction | float] = {}
     for tag in methods:
-        values[tag] = table[tag](n, k, i, j, graph)
+        values[tag] = _ROUTES[family, tag].call(n, k, i, j, graph)
     return _record_from_values(command, family, n, k, i, j, values, digits)
 
 
@@ -208,7 +219,8 @@ def _record_to_text(record: dict) -> str:
         head += f" k={record['k']}"
     methods = ",".join(record["methods"])
     agree = {True: "yes", False: "NO", None: "n/a"}[record["agree"]]
-    return f"{head} {where} = {record['exact']} = {record['decimal']} [{methods}] agree={agree}"
+    value = f"{record['exact'] or 'n/a'} = {record['decimal'] or 'n/a'}"
+    return f"{head} {where} = {value} [{methods}] agree={agree}"
 
 
 def _record_to_csv_row(record: dict) -> list[str]:
@@ -258,7 +270,6 @@ def _agreement_status(records: list[dict]) -> int:
 def _cmd_resistance(args, out) -> int:
     i, j = _validate_query(args.family, args.n, args.k, args.i, args.j)
     methods = _resolve_methods(args.methods, args.family, args.n, i, j)
-    _check_sizes(args.methods, args.family, methods, args.n)
     record = build_record("resistance", args.family, args.n, args.k, i, j, methods, args.digits)
     emit_records([record], args.format, out)
     return _agreement_status([record])
@@ -285,6 +296,17 @@ def _sweep_size(family: str, lo: int, hi: int, policy: str, k: Optional[int]) ->
     return rows * (lo + hi - 10) // 2  # n - 5 bends at each n
 
 
+def _sweep_points(family: str, lo: int, hi: int, policy: str, k: Optional[int]) -> list:
+    """The (n, k) of each record of a sweep, in output order, once _sweep_size has bounded them."""
+    if family == "straight":
+        return [(n, None) for n in range(lo, hi + 1)]
+    if policy == "fixed":
+        return [(n, k) for n in range(max(lo, k + 3), hi + 1)] if k >= 3 else []
+    if policy == "center":
+        return [(n, min(max(3, n // 2), n - 3)) for n in range(lo, hi + 1)]
+    return [(n, bend) for n in range(lo, hi + 1) for bend in range(3, n - 2)]
+
+
 def _cmd_sweep(args, out) -> int:
     lo, hi = _parse_span(args.n)
     if args.family == "straight" and args.k is not None:
@@ -299,25 +321,17 @@ def _cmd_sweep(args, out) -> int:
     size = _sweep_size(args.family, lo, hi, args.k_policy, args.k)
     if size > MAX_SWEEP_RECORDS:
         raise UsageError(f"sweep of {size} records exceeds MAX_SWEEP_RECORDS = {MAX_SWEEP_RECORDS}")
-    if size:
-        # Every n of a sweep selects the same routes, and the guards bound n.
-        _check_sizes(args.methods, args.family, _resolve_methods(args.methods, args.family, hi, 1, hi), hi)
-    records = []
-    for n in range(lo, hi + 1):
-        if args.family == "straight":
-            i, j = 1, n
-            methods = _resolve_methods(args.methods, "straight", n, i, j)
-            records.append(build_record("sweep", "straight", n, None, i, j, methods, args.digits))
-            continue
-        if args.k_policy == "all":
-            bends = range(3, n - 2)
-        elif args.k_policy == "fixed":
-            bends = [args.k] if 3 <= args.k <= n - 3 else []
-        else:  # center
-            bends = [min(max(3, n // 2), n - 3)]
-        for k in bends:
-            methods = _resolve_methods(args.methods, "bent", n, 1, n)
-            records.append(build_record("sweep", "bent", n, k, 1, n, methods, args.digits))
+    points = _sweep_points(args.family, lo, hi, args.k_policy, args.k)
+    # Every record is an end pair (1, n), whose default routes do not depend
+    # on n, so the routes chosen at hi serve every n, and the guards bound n.
+    methods = _resolve_methods(args.methods, args.family, hi, 1, hi) if points else []
+    cost = sum(_ROUTES[args.family, tag].cost(n, k) for n, k in points for tag in methods)
+    if cost > MAX_SWEEP_COST:
+        raise UsageError(
+            f"sweep of {size} records costs about {cost:.1e} units, over MAX_SWEEP_COST = {MAX_SWEEP_COST:.1e};"
+            " split it or pass cheaper --methods"
+        )
+    records = [build_record("sweep", args.family, n, k, 1, n, methods, args.digits) for n, k in points]
     emit_records(records, args.format, out)
     return _agreement_status(records)
 
@@ -352,15 +366,7 @@ def _detect_family(g: WeightedGraph) -> tuple[str, Optional[int]]:
 
 
 def _cmd_reduce(args, out) -> int:
-    if args.what == "straight":
-        n, k = args.n, None
-        if n is None:
-            raise UsageError("reduce straight needs N")
-    elif args.what == "bent":
-        n, k = args.n, args.k
-        if n is None or k is None:
-            raise UsageError("reduce bent needs N and K")
-    else:
+    if args.what == "file":
         try:
             with open(args.path, encoding="utf-8") as handle:
                 graph = WeightedGraph.from_text(handle.read())
@@ -370,13 +376,10 @@ def _cmd_reduce(args, out) -> int:
             raise UsageError("input graph is disconnected")
         family, k = _detect_family(graph)
         n = graph.n
-        args.what = family
-
-    if args.what == "straight":
-        value, state = reduce_straight_state(n)
     else:
-        value, state = reduce_bent(n, k)
-    record = _record_from_values("reduce", args.what, n, k, 1, n, {"engine": value}, args.digits)
+        family, n, k = args.what, args.n, getattr(args, "k", None)
+    value, state = reduce_straight_state(n) if family == "straight" else reduce_bent(n, k)
+    record = _record_from_values("reduce", family, n, k, 1, n, {"engine": value}, args.digits)
     emit_records([record], args.format, out)
     if args.emit_log:
         for step in state.log:
@@ -404,6 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_res.add_argument("--j", type=int)
     p_res.add_argument("--methods", help="comma list, 'all', or 'default'")
     add_common(p_res)
+    p_res.set_defaults(run=_cmd_resistance)
 
     p_sweep = sub.add_parser("sweep", help="grid of queries in deterministic order")
     p_sweep.add_argument("family", choices=("straight", "bent"))
@@ -412,11 +416,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--k-policy", choices=("all", "fixed", "center"), default="all")
     p_sweep.add_argument("--methods", help="comma list, 'all', or 'default'")
     add_common(p_sweep)
+    p_sweep.set_defaults(run=_cmd_sweep)
 
     p_verify = sub.add_parser("verify", help="run the identity catalogue")
     p_verify.add_argument("--profile", choices=PROFILES, default="standard")
+    p_verify.set_defaults(run=_cmd_verify)
 
     p_reduce = sub.add_parser("reduce", help="chain reduction with optional step log")
+    p_reduce.set_defaults(run=_cmd_reduce)
     reduce_sub = p_reduce.add_subparsers(dest="what", required=True)
     p_red_s = reduce_sub.add_parser("straight")
     p_red_s.add_argument("n", type=int)
@@ -443,15 +450,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         # Checked before any route runs; `verify` has no --digits.
         if getattr(args, "digits", 1) < 1:
             raise UsageError("digits must be at least 1")
-        if args.cmd == "resistance":
-            return _cmd_resistance(args, out)
-        if args.cmd == "sweep":
-            return _cmd_sweep(args, out)
-        if args.cmd == "verify":
-            return _cmd_verify(args, out)
-        if args.cmd == "reduce":
-            return _cmd_reduce(args, out)
-        parser.error(f"unknown command {args.cmd!r}")
+        return args.run(args, out)
     except ReductionError as exc:
         # The CLI only hands the engine valid chains, so this is a broken
         # invariant inside it, never a usage error.
@@ -460,7 +459,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (UsageError, GraphError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 0
 
 
 if __name__ == "__main__":

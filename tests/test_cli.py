@@ -69,6 +69,37 @@ def test_resistance_rejects_unknown_method(capsys):
     assert "not applicable" in err
 
 
+def test_repeated_method_is_refused_before_any_route(capsys, monkeypatch):
+    def no_route(*args):
+        pytest.fail("a route ran for a repeated method")
+
+    monkeypatch.setattr(cli, "reduce_bent", no_route)
+    monkeypatch.setattr(cli, "bent_resistance_alternating", no_route)
+    for argv in (
+        ("resistance", "bent", "--n", "8", "--k", "4", "--methods", "engine,engine"),
+        ("resistance", "bent", "--n", "8", "--k", "4", "--methods", "alternating, engine ,engine"),
+        ("sweep", "bent", "--n", "6:8", "--methods", "alternating,alternating"),
+    ):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert out == ""
+        assert "listed twice" in err
+
+
+def test_float_only_record_prints_n_a_as_text(capsys):
+    argv = ("resistance", "bent", "--n", "8", "--k", "4", "--methods", "float")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == "bent n=8 k=4 r(1,8) = n/a = n/a [float] agree=n/a\n"
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    record = json.loads(out)
+    assert (record["exact"], record["decimal"], record["agree"]) == (None, None, None)
+    code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert out.splitlines()[1].startswith("resistance,bent,8,4,1,8,,,float=")
+
+
 def test_sweep_bent_record_count(capsys):
     code, out, _ = run_cli(capsys, "sweep", "bent", "--n", "6:12", "--format", "json")
     assert code == 0
@@ -269,6 +300,48 @@ def test_sweep_bound_counts_records_exactly(capsys, monkeypatch, argv, size):
     assert code == 2
     assert out == ""
     assert "MAX_SWEEP_RECORDS" in err
+
+
+def test_costly_sweep_is_refused_before_any_record(capsys, monkeypatch):
+    # Few records, but hours of work: 9995 engine runs at n = 10,000, or
+    # 1995 records of every route at n = 2000.
+    def no_records(*args):
+        pytest.fail("a sweep over the cost budget computed a record")
+
+    monkeypatch.setattr(cli, "build_record", no_records)
+    for argv in (
+        ("bent", "--n", "10000:10000", "--k-policy", "all"),
+        ("bent", "--n", "2000:2000", "--k-policy", "all", "--methods", "all"),
+        ("straight", "--n", "3:10000"),
+    ):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "sweep", *argv)
+        assert time.perf_counter() - start < 1, argv
+        assert code == 2, argv
+        assert out == ""
+        assert "MAX_SWEEP_COST" in err
+
+
+def test_cost_budget_admits_a_sweep_at_the_engine_guard(capsys, monkeypatch):
+    # About 20 s when run, so the records are stubbed: only admission counts.
+    built = []
+    monkeypatch.setattr(cli, "build_record", lambda *args: built.append(args[2:4]) or {"agree": None})
+    monkeypatch.setattr(cli, "emit_records", lambda records, fmt, out: None)
+    code, _, err = run_cli(capsys, "sweep", "bent", "--n", "9990:10000", "--k-policy", "center")
+    assert (code, err) == (0, "")
+    assert built == [(n, n // 2) for n in range(9990, 10001)]
+
+
+def test_fixed_sweep_past_every_bend_is_empty_at_once(capsys):
+    # The bend fits no n of the range, so the sweep has no record; it must
+    # not walk the 10^9 values of n to find that out.
+    for k in ("2000000000", "1"):
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            capsys, "sweep", "bent", "--n", "6:1000000000", "--k-policy", "fixed", "--k", k
+        )
+        assert time.perf_counter() - start < 1, k
+        assert (code, out, err) == (0, "", ""), k
 
 
 def test_reduce_straight_file(capsys, tmp_path):

@@ -11,17 +11,22 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import twotree.cli
 import twotree.reduction
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
 
-def test_every_wrapped_site_resolves(monkeypatch):
+def _wrapped_sites(monkeypatch):
     monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave bench/ as it is
     spec = importlib.util.spec_from_file_location("_bench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    sites = [site for _, names, _, _ in tracing.WRAPS for site in names]
+    return [site for _, names, _, _ in tracing.WRAPS for site in names]
+
+
+def test_every_wrapped_site_resolves(monkeypatch):
+    sites = _wrapped_sites(monkeypatch)
     assert "twotree.sequences:index_limit" in sites
     assert "twotree.reduction:series_combine" in sites
     assert "twotree.graphs:WeightedGraph.laplacian" in sites
@@ -49,3 +54,27 @@ def test_engine_reaches_the_traced_sites(monkeypatch):
     twotree.reduction.reduce_bent(12, 5)
     twotree.reduction.reduce_straight_state(12)
     assert all(calls[name] > 0 for name in names)
+
+
+def test_cli_reaches_the_traced_sites(monkeypatch, capsys):
+    # A route that bound its function when the module was imported would
+    # bypass the wrapper the tracer sets on the module attribute.
+    names = [site.split(":")[1] for site in _wrapped_sites(monkeypatch) if site.startswith("twotree.cli:")]
+    assert "reduce_bent" in names
+    calls = Counter()
+    for name in names:
+        real = getattr(twotree.cli, name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(twotree.cli, name, counted)
+    for argv in (
+        ["resistance", "bent", "--n", "8", "--k", "4", "--methods", "all"],
+        ["resistance", "straight", "--n", "12"],
+        ["resistance", "straight", "--n", "12", "--i", "2", "--j", "9"],
+    ):
+        assert twotree.cli.main(argv) == 0
+    capsys.readouterr()
+    assert [name for name in names if not calls[name]] == []
