@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import math
 import sys
@@ -36,8 +37,8 @@ ORACLE_DEFAULT_CUTOFF = 200
 # A sweep holds every record in memory until it prints them, so larger
 # grids are refused before any record is computed.
 MAX_SWEEP_RECORDS = 10_000
-# The summed cost of a sweep's routes (about 1 ns a unit, see _ROUTES), so
-# that a grid of few but costly records is refused before it runs for hours.
+# The summed cost of a query's or sweep's routes (about 1 ns a unit, see
+# _ROUTES): few but costly records are refused before they run for hours.
 MAX_SWEEP_COST = 100_000_000_000
 # identities.PROFILES, repeated so that only `verify` loads the catalogue;
 # a test keeps the two equal.
@@ -52,7 +53,7 @@ class UsageError(ValueError):
 
 class _Route:
     """call(n, k, i, j, chain) gives the value; guard(n), if set, refuses n past
-    its bound; cost(n, k) is the rough cost of one call, about 1 ns a unit.
+    its bound; cost(n, k, i, j) is the rough cost of one call, about 1 ns a unit.
     An ends_only route answers only the end pair (1, n).  A route is a default
     for (1, n) if default_at_ends, and for other pairs while n <=
     default_inside_up_to.  An oracle runs on the chain the oracles share.
@@ -68,37 +69,39 @@ class _Route:
 # Every route of the CLI.  A call looks its function up in this module when it
 # runs, so a wrapper or stub set here reaches it.  Costs are the measured
 # orders with coefficients from Python 3.11 on a 2-vCPU VM; the straight
-# engine reduces the whole chain, so it only gives r(1, n).
+# engine reduces the whole chain, so it only gives r(1, n).  On other pairs
+# `formula` sums j - i terms, dearer past the sequence tables (n > ~12,500).
 _ROUTES = {
     ("bent", "alternating"): _Route(
         lambda n, k, i, j, g: bent_resistance_alternating(BentParams(n, k)),
-        None, lambda n, k: 6 * n * k, False, True, 0, False),
+        None, lambda n, k, i, j: 6 * n * k, False, True, 0, False),
     ("bent", "product"): _Route(
         lambda n, k, i, j, g: bent_resistance_product(BentParams(n, k)),
-        None, lambda n, k: 100 * n, False, False, 0, False),
+        None, lambda n, k, i, j: 100 * n, False, False, 0, False),
     ("bent", "engine"): _Route(
         lambda n, k, i, j, g: reduce_bent(n, k)[0],
-        check_engine_size, lambda n, k: 30 * n * n, True, True, 0, False),
+        check_engine_size, lambda n, k, i, j: 30 * n * n, True, True, 0, False),
     ("bent", "exact"): _Route(
         lambda n, k, i, j, g: resistance_exact(g, i, j),
-        check_oracle_size, lambda n, k: 100 * n * n, False, False, 0, True),
+        check_oracle_size, lambda n, k, i, j: 100 * n * n, False, False, 0, True),
     ("bent", "float"): _Route(
         lambda n, k, i, j, g: resistance_float(g, i, j),
-        check_oracle_size, lambda n, k: n * n * n // 32, False, False, 0, True),
+        check_oracle_size, lambda n, k, i, j: n * n * n // 32, False, False, 0, True),
     ("straight", "formula"): _Route(
         lambda n, k, i, j, g: (
             straight_end_resistance(n - 2) if (i, j) == (1, n) else straight_pair_resistance(n - 2, i, j - i)
         ),
-        None, lambda n, k: 100 * n, False, True, math.inf, False),
+        None, lambda n, k, i, j: 100 * n if (i, j) == (1, n) else n * (j - i) * max(15, n // 1000),
+        False, True, math.inf, False),
     ("straight", "engine"): _Route(
         lambda n, k, i, j, g: reduce_straight_state(n)[0],
-        check_engine_size, lambda n, k: 60 * n * n, True, True, 0, False),
+        check_engine_size, lambda n, k, i, j: 60 * n * n, True, True, 0, False),
     ("straight", "exact"): _Route(
         lambda n, k, i, j, g: resistance_exact(g, i, j),
-        check_oracle_size, lambda n, k: 100 * n * n, False, False, ORACLE_DEFAULT_CUTOFF, True),
+        check_oracle_size, lambda n, k, i, j: 100 * n * n, False, False, ORACLE_DEFAULT_CUTOFF, True),
     ("straight", "float"): _Route(
         lambda n, k, i, j, g: resistance_float(g, i, j),
-        check_oracle_size, lambda n, k: n * n * n // 32, False, False, 0, True),
+        check_oracle_size, lambda n, k, i, j: n * n * n // 32, False, False, 0, True),
 }
 
 
@@ -256,8 +259,30 @@ def emit_records(records: list[dict], fmt: str, out) -> None:
             out.write(_record_to_text(record) + "\n")
 
 
-def _agreement_status(records: list[dict]) -> int:
-    """Exit status of a query batch: 1 when any record's routes disagree."""
+def _run_points(command: str, family: str, points, args, out) -> int:
+    """Answer the (n, k, i, j) `points` in order once the whole batch is admitted:
+    at most MAX_SWEEP_RECORDS records and MAX_SWEEP_COST units."""
+    points = list(itertools.islice(points, MAX_SWEEP_RECORDS + 1))
+    if len(points) > MAX_SWEEP_RECORDS:
+        raise UsageError(f"sweep of more than {MAX_SWEEP_RECORDS} records exceeds MAX_SWEEP_RECORDS")
+    # A batch of several points is a sweep of end pairs (1, n), whose default
+    # routes do not depend on n, so the routes chosen at the last and largest
+    # n serve every point, and the guards bound n.
+    methods = []
+    if points:
+        n, _, i, j = points[-1]
+        methods = _resolve_methods(args.methods, family, n, i, j)
+    cost = sum(_ROUTES[family, tag].cost(*point) for point in points for tag in methods)
+    if cost > MAX_SWEEP_COST:
+        what, hint = (
+            (f"sweep of {len(points)} records", "split it") if command == "sweep" else ("query", "ask a smaller n")
+        )
+        raise UsageError(
+            f"{what} costs about {cost:.1e} units, over MAX_SWEEP_COST = {MAX_SWEEP_COST:.1e};"
+            f" {hint} or pass cheaper --methods"
+        )
+    records = [build_record(command, family, n, k, i, j, methods, args.digits) for n, k, i, j in points]
+    emit_records(records, args.format, out)
     disagree = sum(1 for record in records if record["agree"] is False)
     if disagree:
         print(f"error: routes disagree on {disagree} of {len(records)} records", file=sys.stderr)
@@ -269,10 +294,7 @@ def _agreement_status(records: list[dict]) -> int:
 
 def _cmd_resistance(args, out) -> int:
     i, j = _validate_query(args.family, args.n, args.k, args.i, args.j)
-    methods = _resolve_methods(args.methods, args.family, args.n, i, j)
-    record = build_record("resistance", args.family, args.n, args.k, i, j, methods, args.digits)
-    emit_records([record], args.format, out)
-    return _agreement_status([record])
+    return _run_points("resistance", args.family, [(args.n, args.k, i, j)], args, out)
 
 
 def _parse_span(text: str) -> tuple[int, int]:
@@ -286,25 +308,15 @@ def _parse_span(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _sweep_size(family: str, lo: int, hi: int, policy: str, k: Optional[int]) -> int:
-    """Number of records a sweep over n in [lo, hi] produces, in O(1)."""
-    rows = hi - lo + 1
-    if family == "straight" or policy == "center":
-        return rows
-    if policy == "fixed":
-        return max(0, hi - max(lo, k + 3) + 1) if k >= 3 else 0
-    return rows * (lo + hi - 10) // 2  # n - 5 bends at each n
-
-
-def _sweep_points(family: str, lo: int, hi: int, policy: str, k: Optional[int]) -> list:
-    """The (n, k) of each record of a sweep, in output order, once _sweep_size has bounded them."""
+def _sweep_points(family: str, lo: int, hi: int, policy: str, k: Optional[int]):
+    """The (n, k, 1, n) of each record of a sweep, in output order."""
     if family == "straight":
-        return [(n, None) for n in range(lo, hi + 1)]
+        return ((n, None, 1, n) for n in range(lo, hi + 1))
     if policy == "fixed":
-        return [(n, k) for n in range(max(lo, k + 3), hi + 1)] if k >= 3 else []
+        return ((n, k, 1, n) for n in (range(max(lo, k + 3), hi + 1) if k >= 3 else ()))
     if policy == "center":
-        return [(n, min(max(3, n // 2), n - 3)) for n in range(lo, hi + 1)]
-    return [(n, bend) for n in range(lo, hi + 1) for bend in range(3, n - 2)]
+        return ((n, min(max(3, n // 2), n - 3), 1, n) for n in range(lo, hi + 1))
+    return ((n, bend, 1, n) for n in range(lo, hi + 1) for bend in range(3, n - 2))
 
 
 def _cmd_sweep(args, out) -> int:
@@ -318,22 +330,7 @@ def _cmd_sweep(args, out) -> int:
         raise UsageError("k-policy 'fixed' needs --k")
     if args.family == "bent" and args.k_policy != "fixed" and args.k is not None:
         raise UsageError(f"--k applies to k-policy 'fixed' only, not {args.k_policy!r}")
-    size = _sweep_size(args.family, lo, hi, args.k_policy, args.k)
-    if size > MAX_SWEEP_RECORDS:
-        raise UsageError(f"sweep of {size} records exceeds MAX_SWEEP_RECORDS = {MAX_SWEEP_RECORDS}")
-    points = _sweep_points(args.family, lo, hi, args.k_policy, args.k)
-    # Every record is an end pair (1, n), whose default routes do not depend
-    # on n, so the routes chosen at hi serve every n, and the guards bound n.
-    methods = _resolve_methods(args.methods, args.family, hi, 1, hi) if points else []
-    cost = sum(_ROUTES[args.family, tag].cost(n, k) for n, k in points for tag in methods)
-    if cost > MAX_SWEEP_COST:
-        raise UsageError(
-            f"sweep of {size} records costs about {cost:.1e} units, over MAX_SWEEP_COST = {MAX_SWEEP_COST:.1e};"
-            " split it or pass cheaper --methods"
-        )
-    records = [build_record("sweep", args.family, n, k, 1, n, methods, args.digits) for n, k in points]
-    emit_records(records, args.format, out)
-    return _agreement_status(records)
+    return _run_points("sweep", args.family, _sweep_points(args.family, lo, hi, args.k_policy, args.k), args, out)
 
 
 def _cmd_verify(args, out) -> int:
@@ -372,6 +369,8 @@ def _cmd_reduce(args, out) -> int:
                 graph = WeightedGraph.from_text(handle.read())
         except OSError as exc:
             raise UsageError(f"cannot read {args.path}: {exc}") from exc
+        # Before the connectivity check, which builds a dict over all n vertices.
+        check_engine_size(graph.n)
         if not graph.is_connected():
             raise UsageError("input graph is disconnected")
         family, k = _detect_family(graph)

@@ -35,15 +35,6 @@ class BentParams(namedtuple("BentParams", ("n", "k"))):
         # `_replace` builds through here, so it validates too.
         return cls(*fields)
 
-    # Equal only to another BentParams, never to a plain tuple.
-    def __eq__(self, other):
-        return type(other) is type(self) and tuple.__eq__(self, other)
-
-    def __ne__(self, other):
-        return not self == other
-
-    __hash__ = tuple.__hash__
-
     @property
     def m(self) -> int:
         return self.n - 2

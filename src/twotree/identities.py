@@ -170,15 +170,6 @@ class Identity(NamedTuple):
     ranges: Mapping[str, Mapping[str, tuple[int, int]]]
     in_run_all: bool = True
 
-    # Equal only to another Identity, never to a plain tuple.
-    def __eq__(self, other):
-        return type(other) is type(self) and tuple.__eq__(self, other)
-
-    def __ne__(self, other):
-        return not self == other
-
-    __hash__ = tuple.__hash__
-
 
 def _spans(params, small, standard, deep):
     return {
@@ -326,15 +317,6 @@ class IdentityReport(NamedTuple):
     status: str  # "pass" | "fail"
     counterexample: Optional[dict] = None
     mismatch: Optional[tuple[str, str]] = None
-
-    # Equal only to another IdentityReport, never to a plain tuple.
-    def __eq__(self, other):
-        return type(other) is type(self) and tuple.__eq__(self, other)
-
-    def __ne__(self, other):
-        return not self == other
-
-    __hash__ = tuple.__hash__
 
     def to_json_dict(self) -> dict:
         out = {

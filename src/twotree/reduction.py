@@ -87,15 +87,6 @@ class TailTriple(namedtuple("TailTriple", ("j", "t", "s", "b"))):
         # `_replace` builds through here, so it validates too.
         return cls(*fields)
 
-    # Equal only to another TailTriple, never to a plain tuple.
-    def __eq__(self, other):
-        return type(other) is type(self) and tuple.__eq__(self, other)
-
-    def __ne__(self, other):
-        return not self == other
-
-    __hash__ = tuple.__hash__
-
 
 class StepRecord(NamedTuple):
     """One elementary circuit rewrite.

@@ -344,6 +344,31 @@ def test_fixed_sweep_past_every_bend_is_empty_at_once(capsys):
         assert (code, out, err) == (0, "", ""), k
 
 
+def test_costly_query_is_refused_before_any_route(capsys, monkeypatch):
+    # The formula sums j - i terms of n-bit integers for an interior pair:
+    # hours of work at n = 200,000, refused like a costly sweep.
+    def no_records(*args):
+        pytest.fail("a query over the cost budget computed a record")
+
+    monkeypatch.setattr(cli, "build_record", no_records)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "resistance", "straight", "--n", "200000", "--i", "2", "--j", "190000")
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert out == ""
+    assert "MAX_SWEEP_COST" in err
+
+
+def test_cost_budget_admits_an_interior_query_of_seconds(capsys, monkeypatch):
+    # About 9 s when run, so the record is stubbed: only admission counts.
+    built = []
+    monkeypatch.setattr(cli, "build_record", lambda *args: built.append(args[2:7]) or {"agree": None})
+    monkeypatch.setattr(cli, "emit_records", lambda records, fmt, out: None)
+    code, _, err = run_cli(capsys, "resistance", "straight", "--n", "20000", "--i", "2", "--j", "19000")
+    assert (code, err) == (0, "")
+    assert built == [(20000, None, 2, 19000, ["formula"])]
+
+
 def test_reduce_straight_file(capsys, tmp_path):
     from twotree import straight_2tree
 
@@ -378,6 +403,20 @@ def test_reduce_unsupported_topology_rejected(capsys, tmp_path):
     code, _, err = run_cli(capsys, "reduce", "file", str(path))
     assert code == 2
     assert "unsupported topology" in err
+
+
+def test_reduce_file_past_the_engine_guard_is_refused_from_its_header(capsys, monkeypatch, tmp_path):
+    # A 10-byte file announcing 10^9 vertices; the connectivity check would
+    # build a dict over all of them before the engine refused the size.
+    monkeypatch.setattr(cli.WeightedGraph, "is_connected", lambda self: pytest.fail("connectivity was checked"))
+    path = tmp_path / "huge.txt"
+    path.write_text("1000000000 0\n", encoding="utf-8")
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "reduce", "file", str(path))
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert out == ""
+    assert "the reduction engine is guarded at n <= 10000" in err
 
 
 def test_digits_flag(capsys):
