@@ -40,6 +40,8 @@ MAX_SWEEP_RECORDS = 10_000
 # The summed cost of a query's or sweep's routes (about 1 ns a unit, see
 # _ROUTES): few but costly records are refused before they run for hours.
 MAX_SWEEP_COST = 100_000_000_000
+# Every decimal is held until the records print, so longer ones are refused.
+MAX_DIGITS = 10_000
 # identities.PROFILES, repeated so that only `verify` loads the catalogue;
 # a test keeps the two equal.
 PROFILES = ("small", "standard", "deep")
@@ -449,6 +451,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         # Checked before any route runs; `verify` has no --digits.
         if getattr(args, "digits", 1) < 1:
             raise UsageError("digits must be at least 1")
+        if getattr(args, "digits", 1) > MAX_DIGITS:
+            raise UsageError(f"digits must be at most MAX_DIGITS = {MAX_DIGITS}")
         return args.run(args, out)
     except ReductionError as exc:
         # The CLI only hands the engine valid chains, so this is a broken

@@ -116,8 +116,12 @@ class WeightedGraph:
             parts = ln.split()
             if len(parts) != 3:
                 raise GraphError(f"bad edge line {ln!r}, expected 'i j num/den'")
+            # Only `num` or `num/den`, read by int(): Fraction(text) would also
+            # take exponents, and "1e-100000000" would build a 10**100000000.
+            num, slash, den = parts[2].partition("/")
             try:
-                edges.append((int(parts[0]), int(parts[1]), Fraction(parts[2])))
+                weight = Fraction(int(num), int(den) if slash else 1)
+                edges.append((int(parts[0]), int(parts[1]), weight))
             except (ValueError, ZeroDivisionError) as exc:
                 raise GraphError(f"bad edge line {ln!r}") from exc
         return cls(n, edges)

@@ -1,11 +1,12 @@
 """Ground-truth effective resistance, exact and floating point.
 
-Both paths ground one vertex, strike its row and column from the Laplacian
-and solve the remaining system, which is symmetric positive definite on a
-connected graph.  The exact path solves it with fraction-free (Bareiss)
-elimination restricted to each row's envelope, so the hot loop is pure
-integer arithmetic and a banded chain costs O(n) big-integer operations.
-The float path builds its own float64 Laplacian and hands the grounded
+Both paths ground one vertex: its row and column of the Laplacian become
+those of the identity, and the system left is symmetric positive definite
+on a connected graph.  The exact path builds only each row's envelope,
+straight from the edge list, and solves it with fraction-free (Bareiss)
+elimination inside that envelope, so the hot loop is pure integer
+arithmetic and a banded chain costs O(n) memory and big-integer operations.
+The float path builds its own dense float64 Laplacian and hands the grounded
 system to `numpy.linalg.solve`; it exists to cross-check the exact path,
 never to feed it.  numpy is imported only when the float path runs, so
 importing this module (and the package) does not load it.
@@ -14,11 +15,13 @@ importing this module (and the package) does not load it.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
+from math import lcm
 
 from .graphs import GraphError, WeightedGraph
 
-# Both oracles hold a dense n x n Laplacian, so larger graphs are refused
-# before it is built.
+# The float oracle holds a dense n x n Laplacian and the exact one's time
+# grows with its envelopes, so larger graphs are refused before either runs.
 ORACLE_VERTEX_GUARD = 2000
 
 
@@ -98,33 +101,30 @@ def resistance_exact(g: WeightedGraph, i: int, j: int, *, ground: int | None = N
     if not 1 <= w <= g.n:
         raise GraphError(f"ground vertex {w} out of range 1..{g.n}")
 
-    scale, matrix = g.laplacian()
-    del matrix[w - 1]
-    for row in matrix:
-        del row[w - 1]
-    size = g.n - 1
-    pos = {v: v - 1 if v < w else v - 2 for v in range(1, g.n + 1) if v != w}
-    # Off the diagonal, the nonzeros of the Laplacian are exactly the edges.
-    lo = list(range(size))
+    scale = lcm(*(wt.denominator for _, _, wt in g.edges))
+    # Grounding w: its row and column become the identity's, so vertex v
+    # keeps row v - 1.  Off the diagonal, the nonzeros are exactly the edges.
+    lo = list(range(g.n))
     for a, b, _ in g.edges:
         if w not in (a, b):
-            lo[pos[b]] = min(lo[pos[b]], pos[a])
-    hi = list(range(size))
-    for r in range(size):
-        hi[lo[r]] = max(hi[lo[r]], r)
-    for r in range(1, size):
-        hi[r] = max(hi[r], hi[r - 1])
-    upper = [matrix[r][r : hi[r] + 1] for r in range(size)]
+            lo[b - 1] = min(lo[b - 1], a - 1)
+    reach = list(range(g.n))
+    for r, first in enumerate(lo):
+        reach[first] = max(reach[first], r)
+    upper = [[0] * (hi - r + 1) for r, hi in enumerate(accumulate(reach, max))]
+    for a, b, wt in g.edges:
+        c = wt.numerator * (scale // wt.denominator)
+        upper[a - 1][0] += c
+        upper[b - 1][0] += c
+        if w not in (a, b):
+            upper[a - 1][b - a] = -c
+    upper[w - 1][0] = 1
 
-    rhs = [0] * size
-    if i != w:
-        rhs[pos[i]] = scale
-    if j != w:
-        rhs[pos[j]] = -scale
+    rhs = [0] * g.n
+    rhs[i - 1], rhs[j - 1] = scale, -scale
+    rhs[w - 1] = 0
     y, det = _envelope_solve(upper, lo, rhs)
-    yi = y[pos[i]] if i != w else 0
-    yj = y[pos[j]] if j != w else 0
-    return Fraction(yi - yj, det)
+    return Fraction(y[i - 1] - y[j - 1], det)
 
 
 def resistance_float(g: WeightedGraph, i: int, j: int) -> float:

@@ -426,23 +426,32 @@ def test_digits_flag(capsys):
     assert code == 0
     record = json.loads(out.strip())
     assert record["decimal"] == "0.6667"
+    code, out, _ = run_cli(
+        capsys, "resistance", "straight", "--n", "3", "--digits", str(cli.MAX_DIGITS), "--format", "json"
+    )
+    assert code == 0
+    assert json.loads(out)["decimal"] == "0." + "6" * (cli.MAX_DIGITS - 1) + "7"
 
 
 def test_bad_digits_are_refused_before_any_record(capsys, monkeypatch):
     def no_records(*args):
-        pytest.fail("a record was computed for --digits 0")
+        pytest.fail("a record was computed for a refused --digits")
 
     monkeypatch.setattr(cli, "build_record", no_records)
     monkeypatch.setattr(cli, "reduce_bent", no_records)
-    for argv in (
-        ("resistance", "bent", "--n", "3000", "--k", "1500", "--digits", "0"),
-        ("sweep", "straight", "--n", "3:5", "--digits", "-1"),
-        ("reduce", "bent", "8", "4", "--digits", "0"),
+    too_many = str(cli.MAX_DIGITS + 1)
+    for argv, message in (
+        (("resistance", "bent", "--n", "3000", "--k", "1500", "--digits", "0"), "at least 1"),
+        (("sweep", "straight", "--n", "3:5", "--digits", "-1"), "at least 1"),
+        (("reduce", "bent", "8", "4", "--digits", "0"), "at least 1"),
+        (("resistance", "bent", "--n", "8", "--k", "4", "--methods", "alternating", "--digits", "100000000"), "at most"),
+        (("sweep", "straight", "--n", "3:5", "--digits", too_many), "at most"),
+        (("reduce", "bent", "8", "4", "--digits", too_many), "at most"),
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert out == ""
-        assert "digits must be at least 1" in err
+        assert "digits must be " + message in err
 
 
 @pytest.mark.parametrize(

@@ -3,10 +3,11 @@
 from collections import Counter
 from fractions import Fraction
 from math import lcm
+from time import perf_counter
 
 import pytest
 
-from twotree import GraphError, WeightedGraph, bent_2tree, straight_2tree
+from twotree import GraphError, WeightedGraph, bent_2tree, graphs, straight_2tree
 
 
 def _degrees(g):
@@ -183,6 +184,28 @@ def test_from_text_rejects_malformed():
         WeightedGraph.from_text("3 2\n1 2 1/1\n")
     with pytest.raises(GraphError):
         WeightedGraph.from_text("3 1\n1 2 fast\n")
+
+
+def test_from_text_weights_are_integers_or_ratios(monkeypatch):
+    real = graphs.Fraction
+
+    def no_text(*args):
+        if any(isinstance(a, str) for a in args):
+            pytest.fail("a weight was parsed by Fraction(str)")
+        return real(*args)
+
+    monkeypatch.setattr(graphs, "Fraction", no_text)
+    start = perf_counter()
+    with pytest.raises(GraphError, match="bad edge line"):
+        WeightedGraph.from_text("3 2\n1 2 1\n2 3 1e-100000000\n")
+    assert perf_counter() - start < 1
+    for bad in ("0.5", "1e3", "3/", "/4", "1/0"):
+        with pytest.raises(GraphError, match="bad edge line"):
+            WeightedGraph.from_text(f"2 1\n1 2 {bad}\n")
+    assert WeightedGraph.from_text("3 2\n1 2 7\n2 3 3/4\n").edges == (
+        (1, 2, Fraction(7)),
+        (2, 3, Fraction(3, 4)),
+    )
 
 
 def test_connectivity_detection():

@@ -7,6 +7,7 @@ referee.
 
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -158,6 +159,33 @@ def test_exact_at_the_guard_size():
     m = n - 2
     straight = Fraction(m + 1, 5) + Fraction(4 * fib(m + 1), 5 * lucas(m + 1))
     assert resistance_exact(straight_2tree(n), 1, n) == straight
+
+
+def test_exact_oracle_never_builds_the_dense_laplacian(monkeypatch):
+    def no_dense(self):
+        pytest.fail("resistance_exact asked for the dense Laplacian")
+
+    monkeypatch.setattr(WeightedGraph, "laplacian", no_dense)
+    assert resistance_exact(bent_2tree(6, 3), 1, 6) == Fraction(6, 5)
+    g = straight_2tree(9)
+    assert resistance_exact(g, 3, 7) == _resistance_plain_gauss(g, 3, 7)
+    weighted = WeightedGraph(
+        4, [(1, 2, Fraction(2, 3)), (2, 3, Fraction(5, 4)), (1, 3, 3), (3, 4, Fraction(1, 6))]
+    )
+    assert resistance_exact(weighted, 4, 1, ground=2) == _resistance_plain_gauss(weighted, 4, 1)
+
+
+def test_exact_oracle_memory_is_sized_to_the_band():
+    n = 2000
+    g = bent_2tree(n, 1000)
+    tracemalloc.start()
+    try:
+        resistance_exact(g, 1, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # A dense n x n list of lists alone takes about 35 MB here.
+    assert peak < 8_000_000
 
 
 def test_triangle_inequality_exhaustive():
