@@ -24,7 +24,6 @@ from .formulas import (
     BentParams,
     bent_resistance_alternating,
     bent_resistance_product,
-    straight_end_resistance,
     straight_pair_resistance,
 )
 from .graphs import GraphError, WeightedGraph, bent_2tree, straight_2tree
@@ -71,8 +70,7 @@ class _Route:
 # Every route of the CLI.  A call looks its function up in this module when it
 # runs, so a wrapper or stub set here reaches it.  Costs are the measured
 # orders with coefficients from Python 3.11 on a 2-vCPU VM; the straight
-# engine reduces the whole chain, so it only gives r(1, n).  On other pairs
-# `formula` sums j - i terms, dearer past the sequence tables (n > ~12,500).
+# engine reduces the whole chain, so it only gives r(1, n).
 _ROUTES = {
     ("bent", "alternating"): _Route(
         lambda n, k, i, j, g: bent_resistance_alternating(BentParams(n, k)),
@@ -90,11 +88,8 @@ _ROUTES = {
         lambda n, k, i, j, g: resistance_float(g, i, j),
         check_oracle_size, lambda n, k, i, j: n * n * n // 32, False, False, 0, True),
     ("straight", "formula"): _Route(
-        lambda n, k, i, j, g: (
-            straight_end_resistance(n - 2) if (i, j) == (1, n) else straight_pair_resistance(n - 2, i, j - i)
-        ),
-        None, lambda n, k, i, j: 100 * n if (i, j) == (1, n) else n * (j - i) * max(15, n // 1000),
-        False, True, math.inf, False),
+        lambda n, k, i, j, g: straight_pair_resistance(n - 2, i, j - i),
+        None, lambda n, k, i, j: 100 * n, False, True, math.inf, False),
     ("straight", "engine"): _Route(
         lambda n, k, i, j, g: reduce_straight_state(n)[0],
         check_engine_size, lambda n, k, i, j: 60 * n * n, True, True, 0, False),
@@ -200,6 +195,7 @@ def _record_from_values(
             for t, v in values.items():
                 if isinstance(v, float):
                     agree = agree and abs(v - ref) <= FLOAT_RELATIVE_TOLERANCE * abs(ref)
+    exact = ratio_string(reference) if reference is not None else None
     return {
         "command": command,
         "family": family,
@@ -207,10 +203,10 @@ def _record_from_values(
         "k": k,
         "i": i,
         "j": j,
-        "exact": ratio_string(reference) if reference is not None else None,
+        "exact": exact,
         "decimal": decimal_string(reference, digits) if reference is not None else None,
         "methods": {
-            t: (ratio_string(v) if isinstance(v, Fraction) else repr(v))
+            t: ((exact if v == reference else ratio_string(v)) if isinstance(v, Fraction) else repr(v))
             for t, v in values.items()
         },
         "agree": agree,

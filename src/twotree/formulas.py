@@ -55,28 +55,27 @@ class BentParams(namedtuple("BentParams", ("n", "k"))):
 def straight_pair_resistance(m: int, j: int, k: int) -> Fraction:
     """Resistance between vertices j and j+k of the straight chain with m triangles.
 
-    Evaluates the explicit Fibonacci sum; valid for 1 <= j < j + k <= m + 2.
+    Valid for 1 <= j < j + k <= m + 2.  Closes the chain's sum over i = 1..k of
+    (F_i F_{i+2j-2} - F_{i-1} F_{i+2j-3}) F_{2m-2i-2j+5} / F_{2m+2}.  By F_a F_b =
+    (L_{a+b} - (-1)^a L_{b-a})/5 each weight is (L_{2i+2j-3} - 2(-1)^i L_{2j-2})/5, and
+    L_a F_b = F_{a+b} + (-1)^a F_{b-a} leaves k F_{2m+2} minus a step-4 sum of F, telescoped by
+    L_{t+2} - L_{t-2} = 5 F_t, and an alternating step-2 sum, telescoped by L_{t+1} + L_{t-1} =
+    5 F_t.  L_a L_b = L_{a+b} + (-1)^b L_{a-b} then gives, with h = 2m+2 and u = 2m-4j+6,
+
+        25 F_h r = 5k F_h + 2 L_h + L_u + L_{u-4k} - 2 (-1)^k (L_{h-2k} + L_{u-2k}),
+
+    every index within +-h.  The end pair keeps (m+1)/5 + 4 F_{m+1} / (5 L_{m+1}), with
+    half the indices.
     """
     if m < 1:
         raise ValueError("need at least one triangle (m >= 1)")
     if j < 1 or k < 1 or j + k > m + 2:
         raise ValueError(f"vertex pair (j={j}, j+k={j + k}) out of range 1..{m + 2}")
-    total = 0
-    for i in range(1, k + 1):
-        weight = fib(i) * fib(i + 2 * j - 2) - fib(i - 1) * fib(i + 2 * j - 3)
-        total += weight * fib(2 * m - 2 * i - 2 * j + 5)
-    return Fraction(total, fib(2 * m + 2))
-
-
-def straight_end_resistance(m: int) -> Fraction:
-    """r(1, m+2) of the straight chain with m triangles, in closed form.
-
-    (m+1)/5 + 4 F_{m+1} / (5 L_{m+1}): the sum in straight_pair_resistance
-    for the end pair, in O(1) big-integer operations.
-    """
-    if m < 1:
-        raise ValueError("need at least one triangle (m >= 1)")
-    return Fraction(m + 1, 5) + Fraction(4 * fib(m + 1), 5 * lucas(m + 1))
+    if (j, k) == (1, m + 1):
+        return Fraction(m + 1, 5) + Fraction(4 * fib(m + 1), 5 * lucas(m + 1))
+    h, u = 2 * m + 2, 2 * m - 4 * j + 6
+    f, swing = fib(h), lucas(h - 2 * k) + lucas(u - 2 * k)
+    return Fraction(5 * k * f + 2 * lucas(h) + lucas(u) + lucas(u - 4 * k) - 2 * (-1) ** k * swing, 25 * f)
 
 
 def tail_sum(j: int) -> Fraction:
@@ -136,7 +135,7 @@ def bent_resistance_alternating(params: BentParams) -> Fraction:
     m, k = params.m, params.k
     f_m2 = fib(m + 2)
     swing = sum(_alternating_summand(m, j, f_m2) for j in range(3, k + 1))
-    return straight_end_resistance(m) + Fraction(swing, fib(2 * m + 2))
+    return straight_pair_resistance(m, 1, m + 1) + Fraction(swing, fib(2 * m + 2))
 
 
 def telescoping_difference(m: int, k: int) -> Fraction:

@@ -21,6 +21,7 @@ from twotree import (
     bent_resistance_alternating,
     bent_resistance_product,
     ratio_string,
+    reduce_straight_state,
 )
 import twotree.identities
 from twotree import cli
@@ -345,14 +346,16 @@ def test_fixed_sweep_past_every_bend_is_empty_at_once(capsys):
 
 
 def test_costly_query_is_refused_before_any_route(capsys, monkeypatch):
-    # The formula sums j - i terms of n-bit integers for an interior pair:
-    # hours of work at n = 200,000, refused like a costly sweep.
+    # The alternating form sums k terms of n-bit products: about 6nk = 1.2e11
+    # units at n = 200,000, k = 100,000, refused like a costly sweep.
     def no_records(*args):
         pytest.fail("a query over the cost budget computed a record")
 
     monkeypatch.setattr(cli, "build_record", no_records)
     start = time.perf_counter()
-    code, out, err = run_cli(capsys, "resistance", "straight", "--n", "200000", "--i", "2", "--j", "190000")
+    code, out, err = run_cli(
+        capsys, "resistance", "bent", "--n", "200000", "--k", "100000", "--methods", "alternating"
+    )
     assert time.perf_counter() - start < 1
     assert code == 2
     assert out == ""
@@ -360,13 +363,37 @@ def test_costly_query_is_refused_before_any_route(capsys, monkeypatch):
 
 
 def test_cost_budget_admits_an_interior_query_of_seconds(capsys, monkeypatch):
-    # About 9 s when run, so the record is stubbed: only admission counts.
+    # About 0.2 s when run; the record is stubbed, since only admission counts.
     built = []
     monkeypatch.setattr(cli, "build_record", lambda *args: built.append(args[2:7]) or {"agree": None})
     monkeypatch.setattr(cli, "emit_records", lambda records, fmt, out: None)
     code, _, err = run_cli(capsys, "resistance", "straight", "--n", "20000", "--i", "2", "--j", "19000")
     assert (code, err) == (0, "")
     assert built == [(20000, None, 2, 19000, ["formula"])]
+
+
+def test_interior_pair_far_past_the_tables_answers(capsys):
+    # The closed form is not symmetric in its indices, so the mirrored pair
+    # r(i, j) = r(n + 1 - j, n + 1 - i) is a real check.
+    records = []
+    for i, j in ((2, 190000), (10001, 199999)):
+        code, out, err = run_cli(
+            capsys, "resistance", "straight", "--n", "200000", "--i", str(i), "--j", str(j), "--format", "json"
+        )
+        assert (code, err) == (0, "")
+        records.append(json.loads(out))
+    assert records[0]["methods"] == {"formula": records[0]["exact"]}
+    assert records[0]["exact"] == records[1]["exact"]
+
+
+def test_each_value_is_rendered_once(capsys, monkeypatch):
+    rendered = []
+    real = cli.ratio_string
+    monkeypatch.setattr(cli, "ratio_string", lambda value: rendered.append(value) or real(value))
+    code, out, _ = run_cli(capsys, "resistance", "straight", "--n", "12", "--methods", "formula,engine")
+    assert code == 0
+    assert rendered == [reduce_straight_state(12)[0]]
+    assert out.startswith(f"straight n=12 r(1,12) = {real(rendered[0])} = ")
 
 
 def test_reduce_straight_file(capsys, tmp_path):

@@ -1,6 +1,7 @@
 """Closed-form resistance values against the independent oracles."""
 
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -19,12 +20,21 @@ from twotree import (
     straight_pair_resistance,
     telescoping_difference,
 )
+import twotree.formulas
 from twotree.formulas import (
     _alternating_summand,
-    straight_end_resistance,
     tail_sum,
     tail_sum_closed_form,
 )
+
+
+def _straight_pair_sum(m, j, k):
+    """The chain's Fibonacci sum for r(j, j+k), term by term: the referee of the closed form."""
+    total = 0
+    for i in range(1, k + 1):
+        weight = fib(i) * fib(i + 2 * j - 2) - fib(i - 1) * fib(i + 2 * j - 3)
+        total += weight * fib(2 * m - 2 * i - 2 * j + 5)
+    return Fraction(total, fib(2 * m + 2))
 
 
 def test_bent_params_normalisation():
@@ -75,11 +85,29 @@ def test_straight_pair_exhaustive_against_oracle(m):
             assert straight_pair_resistance(m, j, k) == resistance_exact(g, j, j + k)
 
 
-def test_straight_end_closed_form_matches_the_sum():
-    for m in range(1, 401):
-        assert straight_end_resistance(m) == straight_pair_resistance(m, 1, m + 1)
-    with pytest.raises(ValueError):
-        straight_end_resistance(0)
+def test_straight_closed_form_matches_the_sum():
+    for m in range(1, 37):
+        for j in range(1, m + 2):
+            for k in range(1, m + 3 - j):
+                assert straight_pair_resistance(m, j, k) == _straight_pair_sum(m, j, k), (m, j, k)
+    for m in range(37, 401):
+        assert straight_pair_resistance(m, 1, m + 1) == _straight_pair_sum(m, 1, m + 1)
+
+
+def test_straight_pair_makes_a_constant_number_of_sequence_calls(monkeypatch):
+    calls = Counter()
+    for name in ("fib", "lucas"):
+        real = getattr(twotree.formulas, name)
+
+        def counted(n, _name=name, _real=real):
+            calls[_name] += 1
+            return _real(n)
+
+        monkeypatch.setattr(twotree.formulas, name, counted)
+    # The term-by-term sum would make five calls for each of the 4000 terms.
+    value = straight_pair_resistance(5000, 2, 4000)
+    assert sum(calls.values()) <= 6
+    assert value == _straight_pair_sum(5000, 2, 4000)
 
 
 def test_tail_sum_small_values():

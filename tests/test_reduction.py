@@ -23,7 +23,6 @@ from twotree import (
     straight_2tree,
     straight_pair_resistance,
 )
-from twotree.formulas import straight_end_resistance
 from twotree.reduction import ReductionState, TailTriple, _collapse_to_single_edge, delta_y
 
 
@@ -273,7 +272,7 @@ def test_final_collapse_is_one_sorted_pass_of_series_merges():
     for n in range(3, 121):
         value, state = reduce_straight_state(n)
         _assert_final_pass_is_sorted(n, state)
-        assert value == straight_end_resistance(n - 2)
+        assert value == straight_pair_resistance(n - 2, 1, n - 1)
 
 
 @pytest.mark.parametrize(
@@ -298,7 +297,7 @@ def test_final_collapse_checks_the_tail_bookkeeping():
 def test_engine_guard_admits_n_up_to_the_bound(monkeypatch):
     monkeypatch.setattr("twotree.reduction.ENGINE_VERTEX_GUARD", 12)
     assert reduce_bent(12, 5)[0] == bent_resistance_product(BentParams(12, 5))
-    assert reduce_straight_state(12)[0] == straight_end_resistance(10)
+    assert reduce_straight_state(12)[0] == straight_pair_resistance(10, 1, 11)
     with pytest.raises(GraphError, match="guarded at n <= 12, got n = 13"):
         reduce_bent(13, 5)
     with pytest.raises(GraphError, match="guarded at n <= 12, got n = 13"):
