@@ -67,6 +67,17 @@ class _Route:
         self.default_at_ends, self.default_inside_up_to, self.oracle = default_at_ends, default_inside_up_to, oracle
 
 
+def _engine_cost(n: int, k: int) -> int:
+    # The engine reduces about k triangles from one end of a bent chain and
+    # n - k from the other (a straight chain: k = n, all from one end).  Past
+    # a few thousand vertices the big-integer work of a side grows as the
+    # cube of its length, so an edge bend costs as much as a straight chain
+    # and about three times a centred one.  The coefficients put the price
+    # above the slowest of centre, edge and straight runs at n = 1000, 3000
+    # and 10,000.
+    return 40 * n * n + (k**3 + (n - k) ** 3) // 80
+
+
 # Every route of the CLI.  A call looks its function up in this module when it
 # runs, so a wrapper or stub set here reaches it.  Costs are the measured
 # orders with coefficients from Python 3.11 on a 2-vCPU VM; the straight
@@ -80,7 +91,7 @@ _ROUTES = {
         None, lambda n, k, i, j: 100 * n, False, False, 0, False),
     ("bent", "engine"): _Route(
         lambda n, k, i, j, g: reduce_bent(n, k)[0],
-        check_engine_size, lambda n, k, i, j: 30 * n * n, True, True, 0, False),
+        check_engine_size, lambda n, k, i, j: _engine_cost(n, k), True, True, 0, False),
     ("bent", "exact"): _Route(
         lambda n, k, i, j, g: resistance_exact(g, i, j),
         check_oracle_size, lambda n, k, i, j: 100 * n * n, False, False, 0, True),
@@ -92,7 +103,7 @@ _ROUTES = {
         None, lambda n, k, i, j: 100 * n, False, True, math.inf, False),
     ("straight", "engine"): _Route(
         lambda n, k, i, j, g: reduce_straight_state(n)[0],
-        check_engine_size, lambda n, k, i, j: 60 * n * n, True, True, 0, False),
+        check_engine_size, lambda n, k, i, j: _engine_cost(n, n), True, True, 0, False),
     ("straight", "exact"): _Route(
         lambda n, k, i, j, g: resistance_exact(g, i, j),
         check_oracle_size, lambda n, k, i, j: 100 * n * n, False, False, ORACLE_DEFAULT_CUTOFF, True),

@@ -25,6 +25,21 @@ def as_rational(value: Fraction | int) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
+def _coprime_fraction(numerator: int, denominator: int) -> Fraction:
+    """The Fraction numerator/denominator, for a pair already in lowest terms.
+
+    The caller guarantees gcd(numerator, denominator) == 1 and denominator
+    > 0; nothing is checked and no gcd runs.  It fills `Fraction`'s two
+    slots, `_numerator` and `_denominator`, as `Fraction._from_coprime_ints`
+    does on Python 3.12+; that layout is the same on 3.10-3.13, where
+    `Fraction(n, d, _normalize=False)` exists only up to 3.11.
+    """
+    value = object.__new__(Fraction)
+    value._numerator = numerator
+    value._denominator = denominator
+    return value
+
+
 def series_combine(a: Fraction | int, b: Fraction | int) -> Fraction:
     """Resistance of two resistors in series (nonnegative inputs)."""
     ra, rb = as_rational(a), as_rational(b)

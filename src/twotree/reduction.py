@@ -12,14 +12,14 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Callable, NamedTuple, Optional
 
 from .graphs import GraphError, WeightedGraph, bent_2tree, straight_2tree
-from .rational import as_rational, parallel_combine, ratio_string, series_combine
+from .rational import _coprime_fraction, as_rational, parallel_combine, ratio_string, series_combine
 
 
-# The engine keeps its whole step log and its time grows about as n^2, so
+# The engine keeps its whole step log and its time grows faster than n^2, so
 # larger chains are refused before one is built.
 ENGINE_VERTEX_GUARD = 10_000
 
@@ -50,7 +50,8 @@ def delta_y(
     about one input's size, and the branches are (x*r_c, y*r_c, x*r_a),
     `Fraction` products whose gcds run on single factors.  When r_c = 1,
     the base of every triangle the engine transforms, x and y are branches
-    as they stand.
+    as they stand.  The engine's own chain transforms skip four of these
+    five gcds: see `_chain_branches` for the path and its proof.
     """
     a, b, c = as_rational(r_a), as_rational(r_b), as_rational(r_c)
     if a.numerator <= 0 or b.numerator <= 0 or c.numerator <= 0:
@@ -59,7 +60,12 @@ def delta_y(
 
 
 def _star_branches(a: Fraction, b: Fraction, c: Fraction) -> tuple[Fraction, Fraction, Fraction]:
-    """`delta_y` of strictly positive Fractions, without the input checks."""
+    """`delta_y` of strictly positive Fractions, without the input checks.
+
+    It runs five gcds (one in the lcm, one in each `Fraction` quotient, two
+    in x*a); the chain transforms of `_run_side` go through
+    `_chain_branches`, which proves four of them trivial and runs one.
+    """
     q, u, v = a.denominator, b.denominator, c.denominator
     d = lcm(q, u, v)
     big_p = a.numerator * (d // q)
@@ -70,6 +76,57 @@ def _star_branches(a: Fraction, b: Fraction, c: Fraction) -> tuple[Fraction, Fra
     if c.numerator == v == 1:
         return x, y, x * a
     return x * c, y * c, x * a
+
+
+def _chain_branches(a: Fraction, b: Fraction, c: Fraction) -> tuple[Fraction, Fraction, Fraction]:
+    """`_star_branches` for a transform of `_run_side`, with a single gcd.
+
+    Only for the unit chains the engine builds, where c = 1 (checked by the
+    caller).  In lowest terms a = p/q and b = r/u.  When q divides u, the
+    common denominator is D = u, P = p*(u/q), R = r, S = P + R + D and the
+    branches are x = R/S, y = P/S and t = x*a.  One gcd g = gcd(R, S)
+    reduces x; y = P/S and t = (R/g * p)/(S/g * q) are already in lowest
+    terms and are built without a gcd.  When q does not divide u, the
+    general `_star_branches` runs instead.
+
+    Proof on a unit chain.  Transform 1 sees a = b = c = 1.  Transform j+1
+    sees c = 1, a = x_j (the far branch of star j, now the edge from star j
+    to the new middle) and b = y_j + 1 (the middle branch of star j merged in
+    series with a unit chain edge).  If gcd(P_j, S_j) = 1, b has denominator
+    u = S_j, and a has q = S_j/g_j, which divides it: the remainder is 0,
+    D_{j+1} = S_j, P_{j+1} = p*g_j = R_j and R_{j+1} = P_j + S_j.  So the
+    unreduced triple (A, B, D) = (P, R, D) follows
+    (A, B, D) -> (B, 2A + B + D, A + B + D) from (1, 1, 1).  By induction,
+    with the Fibonacci numbers F (F_1 = F_2 = 1),
+
+        A_j = F_j^2,  B_j = F_{j+1}^2,  D_j = F_{2j},
+
+    using F_{2j} = 2 F_j F_{j+1} - F_j^2, F_{2j+1} = F_j^2 + F_{j+1}^2
+    and F_{j+2} = F_j + F_{j+1}; so S_j = F_{2j+1} + F_{2j} = F_{2j+2}.  Since gcd(F_m, F_n) = F_{gcd(m, n)}:
+
+    - y_j = A_j/S_j: gcd(F_j, F_{2j+2}) = F_{gcd(j, 2)} = 1, so
+      gcd(P_j, S_j) = 1 (which the induction used).
+    - t_j = x_j * x_{j-1} for j > 1 (t_1 = x_1): the factor R_j/g_j
+      divides F_{j+1}^2 and S_{j-1}/g_{j-1} divides F_{2j}, with
+      gcd(F_{j+1}, F_{2j}) = F_{gcd(j+1, 2)} = 1; the factor
+      R_{j-1}/g_{j-1} divides F_j^2 and S_j/g_j divides F_{2j+2}, with
+      gcd(F_j, F_{2j+2}) = 1.  Both cross gcds of the product are 1, and
+      x_j and a are in lowest terms themselves, so t_j is too.
+
+    Both sides of a bent chain walk the same way from their terminals, so
+    the same holds there.  The Fibonacci numbers appear only in this proof.
+    """
+    p, q = a.numerator, a.denominator
+    d = b.denominator
+    m, rest = divmod(d, q)
+    if rest:
+        return _star_branches(a, b, c)
+    big_p = p * m
+    big_r = b.numerator
+    total = big_p + big_r + d
+    g = gcd(big_r, total)
+    r_g, s_g = big_r // g, total // g
+    return _coprime_fraction(r_g, s_g), _coprime_fraction(big_p, total), _coprime_fraction(r_g * p, s_g * q)
 
 
 class TailTriple(namedtuple("TailTriple", ("j", "t", "s", "b"))):
@@ -187,6 +244,11 @@ class ReductionState:
 
     def apply_delta_y(self, anchor: int, middle: int, far: int, side: str, j: int) -> tuple[int, TailTriple]:
         """Transform the triangle (anchor, middle, far) into a star."""
+        return self._transform(anchor, middle, far, side, j, _star_branches)
+
+    def _transform(self, anchor: int, middle: int, far: int, side: str, j: int, branches) -> tuple[int, TailTriple]:
+        # `apply_delta_y` with the star branches from `branches`: the general
+        # `_star_branches`, or `_chain_branches` inside `_run_side`.
         adj = self._adj
         try:
             at_anchor, at_middle, at_far = adj[anchor], adj[middle], adj[far]
@@ -197,7 +259,7 @@ class ReductionState:
             raise ReductionError(
                 f"chain invariant broken: edge {middle}-{far} has resistance {r_c}, expected 1"
             )
-        r_1, r_2, r_3 = _star_branches(r_a, r_b, r_c)
+        r_1, r_2, r_3 = branches(r_a, r_b, r_c)
         del at_anchor[middle], at_anchor[far], at_middle[anchor], at_middle[far]
         del at_far[anchor], at_far[middle]
         self._next_label = star = self._next_label + 1
@@ -281,7 +343,7 @@ def _run_side(
     anchor, middle = terminal, inward
     tails = state.left_tails if side == "left" else state.right_tails
     for j in range(1, steps + 1):
-        star, triple = state.apply_delta_y(anchor, middle, far, side, j)
+        star, triple = state._transform(anchor, middle, far, side, j, _chain_branches)
         tails.append(triple)
         if j == steps and not merge_last:
             break

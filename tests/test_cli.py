@@ -324,13 +324,25 @@ def test_costly_sweep_is_refused_before_any_record(capsys, monkeypatch):
 
 
 def test_cost_budget_admits_a_sweep_at_the_engine_guard(capsys, monkeypatch):
-    # About 20 s when run, so the records are stubbed: only admission counts.
+    # About 30 s when run, so the records are stubbed: only admission counts.
     built = []
     monkeypatch.setattr(cli, "build_record", lambda *args: built.append(args[2:4]) or {"agree": None})
     monkeypatch.setattr(cli, "emit_records", lambda records, fmt, out: None)
     code, _, err = run_cli(capsys, "sweep", "bent", "--n", "9990:10000", "--k-policy", "center")
     assert (code, err) == (0, "")
     assert built == [(n, n // 2) for n in range(9990, 10001)]
+
+
+def test_engine_price_follows_the_bend(capsys, monkeypatch):
+    # An edge bend costs the engine about three times a centred one at
+    # n = 10,000, so the centred sweep above is admitted and this one is not.
+    def no_records(*args):
+        pytest.fail("a sweep over the cost budget computed a record")
+
+    monkeypatch.setattr(cli, "build_record", no_records)
+    code, out, err = run_cli(capsys, "sweep", "bent", "--n", "9990:10000", "--k-policy", "fixed", "--k", "4")
+    assert (code, out) == (2, "")
+    assert "MAX_SWEEP_COST" in err
 
 
 def test_fixed_sweep_past_every_bend_is_empty_at_once(capsys):

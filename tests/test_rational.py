@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from twotree.rational import (
+    _coprime_fraction,
     as_rational,
     decimal_string,
     parallel_combine,
@@ -51,6 +52,39 @@ def test_as_rational_rejects_text():
         as_rational("1/2")
     with pytest.raises(TypeError):
         series_combine("1/2", 1)
+
+
+def _coprime_pairs(rng):
+    # Small and big ints, negative numerators, and denominators that are
+    # multiples of the hash modulus 2**61 - 1, where Fraction hashes as inf.
+    pairs = [(0, 1), (1, 1), (-1, 1), (5, 2**61 - 1), (-3, 2 * (2**61 - 1)), (7**400, 3**500)]
+    while len(pairs) < 300:
+        num = rng.choice([rng.randint(-50, 50), rng.randint(-(10**60), 10**60)])
+        den = rng.choice([rng.randint(1, 50), rng.randint(1, 10**60)])
+        g = math.gcd(num, den)
+        pairs.append((num // g, den // g))
+    return pairs
+
+
+def test_coprime_fraction_behaves_as_fraction():
+    pairs = _coprime_pairs(random.Random(20261019))
+    for (num, den), (num2, den2) in zip(pairs, pairs[1:] + pairs[:1]):
+        q, ref = _coprime_fraction(num, den), Fraction(num, den)
+        other, ref_other = _coprime_fraction(num2, den2), Fraction(num2, den2)
+        assert type(q) is Fraction
+        assert (q.numerator, q.denominator) == (ref.numerator, ref.denominator) == (num, den)
+        assert q == ref and hash(q) == hash(ref)
+        assert str(q) == str(ref) and repr(q) == repr(ref) and float(q) == float(ref)
+        assert {q: 1}[ref] == 1
+        assert (q < other) == (ref < ref_other)
+        assert q + other == ref + ref_other
+        assert q - other == ref - ref_other
+        assert q * other == ref * ref_other
+        assert q**2 == ref**2
+        if num2:
+            assert q / other == ref / ref_other
+        if den == 1:
+            assert q == num and hash(q) == hash(num)
 
 
 def _random_positive(rng):

@@ -1,5 +1,6 @@
 """The triangle-to-star reduction engine and its bookkeeping."""
 
+import math
 from fractions import Fraction
 from math import gcd
 
@@ -23,7 +24,8 @@ from twotree import (
     straight_2tree,
     straight_pair_resistance,
 )
-from twotree.reduction import ReductionState, TailTriple, _collapse_to_single_edge, delta_y
+from twotree import reduction
+from twotree.reduction import ReductionState, TailTriple, _chain_branches, _collapse_to_single_edge, delta_y
 
 
 def test_delta_y_symmetric_triangle():
@@ -91,6 +93,94 @@ def test_engine_transforms_match_plain_arithmetic():
         assert len(transforms) == count
         for record in transforms:
             _assert_matches_referee(record.inputs, record.outputs)
+
+
+def _assert_log_in_lowest_terms(state):
+    # The chain transforms build their branches without normalising them; a
+    # value left unreduced would compare and hash unlike the same number built
+    # by `Fraction`.  Each transform must also give what `delta_y` gives.
+    for record in state.log:
+        if record.kind == "delta_y":
+            assert record.outputs == delta_y(*record.inputs), record
+        for q in record.inputs + record.outputs:
+            assert type(q) is Fraction, record
+            num, den = q.numerator, q.denominator
+            assert den > 0 and gcd(num, den) == 1, record
+            same = Fraction(num, den)
+            assert q == same and hash(q) == hash(same), record
+
+
+def test_step_log_values_are_in_lowest_terms_small():
+    for n in range(6, 41):
+        for k in range(3, n - 2):
+            _assert_log_in_lowest_terms(reduce_bent(n, k)[1])
+    for n in range(3, 61):
+        _assert_log_in_lowest_terms(reduce_straight_state(n)[1])
+
+
+@pytest.mark.parametrize("k", [3, 1000, 1997])
+def test_step_log_values_are_in_lowest_terms_bent_2000(k):
+    _assert_log_in_lowest_terms(reduce_bent(2000, k)[1])
+
+
+def test_step_log_values_are_in_lowest_terms_straight_2000():
+    _assert_log_in_lowest_terms(reduce_straight_state(2000)[1])
+
+
+def test_chain_transforms_run_one_gcd_each(monkeypatch):
+    # Every gcd the chain path could run, its own and those inside Fraction
+    # arithmetic, is counted; an lcm counts as one too.
+    counts = {"gcd": 0, "fallback": 0}
+    per_call = []
+
+    def counted(key, real):
+        def call(*args):
+            counts[key] += 1
+            return real(*args)
+
+        return call
+
+    def watched_chain(a, b, c):
+        before = counts["gcd"]
+        branches = _chain_branches(a, b, c)
+        per_call.append(counts["gcd"] - before)
+        return branches
+
+    counted_gcd = counted("gcd", math.gcd)
+    monkeypatch.setattr(math, "gcd", counted_gcd)
+    monkeypatch.setattr(reduction, "gcd", counted_gcd)
+    monkeypatch.setattr(reduction, "lcm", counted("gcd", math.lcm))
+    monkeypatch.setattr(reduction, "_star_branches", counted("fallback", reduction._star_branches))
+    monkeypatch.setattr(reduction, "_chain_branches", watched_chain)
+    for n, k in [(6, 3), (40, 3), (40, 37), (200, 77), (201, 100)]:
+        reduce_bent(n, k)
+        assert per_call == [1] * (n - 3) and counts["fallback"] == 0, (n, k)
+        per_call.clear()
+    for n in (3, 4, 200):
+        reduce_straight_state(n)
+        assert per_call == [1] * (n - 2) and counts["fallback"] == 0, n
+        per_call.clear()
+    # The public transform keeps the general path.
+    state = ReductionState(straight_2tree(4), source=1, sink=4)
+    state.apply_delta_y(1, 2, 3, "left", 1)
+    assert per_call == [] and counts["fallback"] == 1
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (Fraction(1, 2), Fraction(1, 3)),  # q does not divide u
+        (Fraction(3, 4), Fraction(5, 6)),
+        (Fraction(7, 10), Fraction(2)),
+    ],
+)
+def test_chain_branches_fall_back_off_the_chain(monkeypatch, a, b):
+    calls = []
+    real_star = reduction._star_branches
+    monkeypatch.setattr(reduction, "_star_branches", lambda *args: calls.append(args) or real_star(*args))
+    branches = _chain_branches(a, b, Fraction(1))
+    assert calls == [(a, b, Fraction(1))]
+    _assert_matches_referee((a, b, Fraction(1)), branches)
 
 
 @pytest.mark.parametrize("bad", [0, Fraction(-1, 3)])
