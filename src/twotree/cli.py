@@ -78,6 +78,18 @@ def _engine_cost(n: int, k: int) -> int:
     return 40 * n * n + (k**3 + (n - k) ** 3) // 80
 
 
+def _closed_form_cost(n: int) -> int:
+    # Each closed form reads a few Fibonacci/Lucas numbers of index up to
+    # about 2n, then reduces and renders one fraction of O(n) bits.  Past the
+    # 25,000-index sequence tables the numbers come from fast doubling, and
+    # gcd and int-to-decimal conversion grow as the square of the bit length.
+    # The coefficient puts the price above the slowest measured query,
+    # rendering included: `product` with an edge bend, 0.40 / 4.4 / 42 s at
+    # n = 10^5 / 3*10^5 / 10^6, against `alternating` at 0.29 / 1.7 / 17 s
+    # and `formula` at 0.19 / 2.0 / 20 s.
+    return 100 * n + n * n // 16
+
+
 # Every route of the CLI.  A call looks its function up in this module when it
 # runs, so a wrapper or stub set here reaches it.  Costs are the measured
 # orders with coefficients from Python 3.11 on a 2-vCPU VM; the straight
@@ -85,10 +97,10 @@ def _engine_cost(n: int, k: int) -> int:
 _ROUTES = {
     ("bent", "alternating"): _Route(
         lambda n, k, i, j, g: bent_resistance_alternating(BentParams(n, k)),
-        None, lambda n, k, i, j: 6 * n * k, False, True, 0, False),
+        None, lambda n, k, i, j: _closed_form_cost(n), False, True, 0, False),
     ("bent", "product"): _Route(
         lambda n, k, i, j, g: bent_resistance_product(BentParams(n, k)),
-        None, lambda n, k, i, j: 100 * n, False, False, 0, False),
+        None, lambda n, k, i, j: _closed_form_cost(n), False, False, 0, False),
     ("bent", "engine"): _Route(
         lambda n, k, i, j, g: reduce_bent(n, k)[0],
         check_engine_size, lambda n, k, i, j: _engine_cost(n, k), True, True, 0, False),
@@ -100,7 +112,7 @@ _ROUTES = {
         check_oracle_size, lambda n, k, i, j: n * n * n // 32, False, False, 0, True),
     ("straight", "formula"): _Route(
         lambda n, k, i, j, g: straight_pair_resistance(n - 2, i, j - i),
-        None, lambda n, k, i, j: 100 * n, False, True, math.inf, False),
+        None, lambda n, k, i, j: _closed_form_cost(n), False, True, math.inf, False),
     ("straight", "engine"): _Route(
         lambda n, k, i, j, g: reduce_straight_state(n)[0],
         check_engine_size, lambda n, k, i, j: _engine_cost(n, n), True, True, 0, False),

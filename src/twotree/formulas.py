@@ -119,25 +119,37 @@ def bent_resistance_product(params: BentParams) -> Fraction:
     return core + tail_sum_closed_form(params.p) + tail_sum_closed_form(ell)
 
 
-def _alternating_summand(m: int, j: int, f_m2: int) -> int:
-    """The j-th signed summand, given f_m2 = F_{m+2}, which every summand shares."""
+def _alternating_summand(m: int, j: int) -> int:
+    """The j-th signed summand of the alternating form, term by term."""
     sign = -1 if j % 2 else 1
-    return sign * fib(m - 2 * j + 3) * (f_m2 + fib(j - 2) * fib(m - j + 1))
+    return sign * fib(m - 2 * j + 3) * (fib(m + 2) + fib(j - 2) * fib(m - j + 1))
 
 
 def bent_resistance_alternating(params: BentParams) -> Fraction:
-    """End-to-end bent-chain resistance in alternating-sum form.
+    """End-to-end bent-chain resistance in alternating-sum form, closed.
 
-    (m+1)/5 + 4 F_{m+1} / (5 L_{m+1}) plus a signed Fibonacci sum over the
-    bend positions 3..k, divided by F_{2m+2}.  Inner indices may go
-    negative; the signed-index extension handles them.
+    The straight end pair E = (m+1)/5 + 4 F_{m+1} / (5 L_{m+1}) plus the sum over
+    the bend positions j = 3..k of (-1)^j F_a (F_{m+2} + F_b F_c) / F_{2m+2}, with
+    a = m-2j+3, b = j-2 and c = m-j+1 (`_alternating_summand`).  F_{m+2} times the
+    alternating step-2 sum of F_a telescopes by L_{t+1} + L_{t-1} = 5 F_t.  The
+    triple product expands by 5 F_a F_b = L_{a+b} - (-1)^b L_{a-b} and L_a F_b =
+    F_{a+b} + (-1)^a F_{b-a} into F_{2m-2j+2}, F_{2m-4j+6} and F_{2j-4}, whose sums
+    telescope by the same rule or by L_{t+2} - L_{t-2} = 5 F_t.  With h = 2m+2 and
+    5 F_{2m} + L_{2m-2} = L_h this leaves
+
+        25 F_h (r - E) = (-1)^k (5 F_{h-2k+2} + 5 (-1)^m F_{2k} + L_{h-2k-1} + (-1)^m L_{2k-3})
+                         + L_{h-4k+2} - L_h - 16 (-1)^m.
+
+    F_h = F_{m+1} L_{m+1} and 5 F_{m+1}^2 = L_h + 2 (-1)^m put E over the same
+    denominator: 25 F_h E = 5 (m+1) F_h + 4 L_h + 8 (-1)^m.  Every index is within
+    +-h; inner indices may go negative, and the signed-index extension handles them.
     """
-    m, k = params.m, params.k
-    f_m2 = fib(m + 2)
-    swing = sum(_alternating_summand(m, j, f_m2) for j in range(3, k + 1))
-    return straight_pair_resistance(m, 1, m + 1) + Fraction(swing, fib(2 * m + 2))
+    m, k, h, t = params.m, params.k, 2 * params.m + 2, (-1) ** params.m
+    swing = (-1) ** k * (5 * fib(h - 2 * k + 2) + 5 * t * fib(2 * k) + lucas(h - 2 * k - 1) + t * lucas(2 * k - 3))
+    f = fib(h)
+    return Fraction(5 * (m + 1) * f + swing + lucas(h - 4 * k + 2) + 3 * lucas(h) - 8 * t, 25 * f)
 
 
 def telescoping_difference(m: int, k: int) -> Fraction:
     """Exact value of r_{m,k+1} - r_{m,k} predicted by the alternating form."""
-    return Fraction(_alternating_summand(m, k + 1, fib(m + 2)), fib(2 * m + 2))
+    return Fraction(_alternating_summand(m, k + 1), fib(2 * m + 2))

@@ -304,8 +304,9 @@ def test_sweep_bound_counts_records_exactly(capsys, monkeypatch, argv, size):
 
 
 def test_costly_sweep_is_refused_before_any_record(capsys, monkeypatch):
-    # Few records, but hours of work: 9995 engine runs at n = 10,000, or
-    # 1995 records of every route at n = 2000.
+    # Few records, but hours of work: 9995 engine runs at n = 10,000,
+    # 1995 records of every route at n = 2000, or 1000 closed forms of 5 to
+    # 30 s each at n = 10^6.
     def no_records(*args):
         pytest.fail("a sweep over the cost budget computed a record")
 
@@ -314,6 +315,9 @@ def test_costly_sweep_is_refused_before_any_record(capsys, monkeypatch):
         ("bent", "--n", "10000:10000", "--k-policy", "all"),
         ("bent", "--n", "2000:2000", "--k-policy", "all", "--methods", "all"),
         ("straight", "--n", "3:10000"),
+        ("bent", "--n", "999001:1000000", "--k-policy", "center", "--methods", "product"),
+        ("bent", "--n", "999001:1000000", "--k-policy", "center", "--methods", "alternating"),
+        ("straight", "--n", "999001:1000000", "--methods", "formula"),
     ):
         start = time.perf_counter()
         code, out, err = run_cli(capsys, "sweep", *argv)
@@ -358,12 +362,13 @@ def test_fixed_sweep_past_every_bend_is_empty_at_once(capsys):
 
 
 def test_costly_query_is_refused_before_any_route(capsys, monkeypatch):
-    # The alternating form sums k terms of n-bit products: about 6nk = 1.2e11
-    # units at n = 200,000, k = 100,000, refused like a costly sweep.
+    # Under the guards no single query costs more than MAX_SWEEP_COST, so a
+    # lower budget stands in: a query is priced like a sweep of one record.
     def no_records(*args):
         pytest.fail("a query over the cost budget computed a record")
 
     monkeypatch.setattr(cli, "build_record", no_records)
+    monkeypatch.setattr(cli, "MAX_SWEEP_COST", 10**9)
     start = time.perf_counter()
     code, out, err = run_cli(
         capsys, "resistance", "bent", "--n", "200000", "--k", "100000", "--methods", "alternating"
@@ -372,6 +377,18 @@ def test_costly_query_is_refused_before_any_route(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert "MAX_SWEEP_COST" in err
+
+
+def test_closed_forms_answer_a_centred_bend_past_the_tables(capsys):
+    # About 1 s: the alternating sum over 60,000 bend positions is closed.
+    code, out, err = run_cli(
+        capsys, "resistance", "bent", "--n", "120000", "--k", "60000", "--methods", "alternating,product",
+        "--format", "json",
+    )
+    assert (code, err) == (0, "")
+    record = json.loads(out)
+    assert record["agree"] is True
+    assert list(record["methods"]) == ["alternating", "product"]
 
 
 def test_cost_budget_admits_an_interior_query_of_seconds(capsys, monkeypatch):

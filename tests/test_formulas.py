@@ -1,5 +1,6 @@
 """Closed-form resistance values against the independent oracles."""
 
+import random
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -35,6 +36,27 @@ def _straight_pair_sum(m, j, k):
         weight = fib(i) * fib(i + 2 * j - 2) - fib(i - 1) * fib(i + 2 * j - 3)
         total += weight * fib(2 * m - 2 * i - 2 * j + 5)
     return Fraction(total, fib(2 * m + 2))
+
+
+def _alternating_sum(m, k):
+    """r(1, m+2) with the bend at k by the alternating sum, term by term: the referee of its closed form."""
+    total = 0
+    for j in range(3, k + 1):
+        total += (-1) ** j * fib(m - 2 * j + 3) * (fib(m + 2) + fib(j - 2) * fib(m - j + 1))
+    return Fraction(m + 1, 5) + Fraction(4 * fib(m + 1), 5 * lucas(m + 1)) + Fraction(total, fib(2 * m + 2))
+
+
+def _count_sequence_calls(monkeypatch):
+    calls = Counter()
+    for name in ("fib", "lucas"):
+        real = getattr(twotree.formulas, name)
+
+        def counted(n, _name=name, _real=real):
+            calls[_name] += 1
+            return _real(n)
+
+        monkeypatch.setattr(twotree.formulas, name, counted)
+    return calls
 
 
 def test_bent_params_normalisation():
@@ -95,15 +117,7 @@ def test_straight_closed_form_matches_the_sum():
 
 
 def test_straight_pair_makes_a_constant_number_of_sequence_calls(monkeypatch):
-    calls = Counter()
-    for name in ("fib", "lucas"):
-        real = getattr(twotree.formulas, name)
-
-        def counted(n, _name=name, _real=real):
-            calls[_name] += 1
-            return _real(n)
-
-        monkeypatch.setattr(twotree.formulas, name, counted)
+    calls = _count_sequence_calls(monkeypatch)
     # The term-by-term sum would make five calls for each of the 4000 terms.
     value = straight_pair_resistance(5000, 2, 4000)
     assert sum(calls.values()) <= 6
@@ -152,10 +166,32 @@ def test_bent_alternating_spot_values():
     p = BentParams(6, 3)
     assert Fraction(p.m + 1, 5) == 1
     assert Fraction(4 * fib(5), 5 * lucas(5)) == Fraction(4, 11)
-    assert Fraction(_alternating_summand(4, 3, fib(6)), fib(10)) == Fraction(-9, 55)
+    assert Fraction(_alternating_summand(4, 3), fib(10)) == Fraction(-9, 55)
     assert bent_resistance_alternating(p) == Fraction(6, 5)
     engine_value, _ = reduce_bent(7, 4)
     assert bent_resistance_alternating(BentParams(7, 4)) == engine_value
+
+
+def test_alternating_closed_form_matches_the_sum():
+    for m in range(4, 81):
+        for k in range(3, m):
+            assert bent_resistance_alternating(BentParams.from_mk(m, k)) == _alternating_sum(m, k), (m, k)
+
+
+def test_alternating_closed_form_past_the_tables():
+    rng = random.Random(17)
+    for _ in range(20):
+        n = rng.randint(25_001, 60_000)
+        p = BentParams(n, rng.randint(3, n - 3))
+        assert bent_resistance_alternating(p) == bent_resistance_product(p), p
+
+
+def test_alternating_makes_a_constant_number_of_sequence_calls(monkeypatch):
+    calls = _count_sequence_calls(monkeypatch)
+    # The term-by-term sum would make three calls for each of the 1998 terms.
+    value = bent_resistance_alternating(BentParams(3000, 2000))
+    assert sum(calls.values()) <= 8
+    assert value == _alternating_sum(2998, 2000)
 
 
 def test_forms_agree_small_sweep():
