@@ -54,7 +54,7 @@ class UsageError(ValueError):
 
 class _Route:
     """call(n, k, i, j, chain) gives the value; guard(n), if set, refuses n past
-    its bound; cost(n, k, i, j) is the rough cost of one call, about 1 ns a unit.
+    its bound; cost(n, k) is the rough cost of one call, about 1 ns a unit.
     An ends_only route answers only the end pair (1, n).  A route is a default
     for (1, n) if default_at_ends, and for other pairs while n <=
     default_inside_up_to.  An oracle runs on the chain the oracles share.
@@ -81,7 +81,7 @@ def _engine_cost(n: int, k: int) -> int:
 def _closed_form_cost(n: int) -> int:
     # Each closed form reads a few Fibonacci/Lucas numbers of index up to
     # about 2n, then reduces and renders one fraction of O(n) bits.  Past the
-    # 25,000-index sequence tables the numbers come from fast doubling, and
+    # 1024-index sequence tables the numbers come from fast doubling, and
     # gcd and int-to-decimal conversion grow as the square of the bit length.
     # The coefficient puts the price above the slowest measured query,
     # rendering included: `product` with an edge bend, 0.40 / 4.4 / 42 s at
@@ -97,31 +97,31 @@ def _closed_form_cost(n: int) -> int:
 _ROUTES = {
     ("bent", "alternating"): _Route(
         lambda n, k, i, j, g: bent_resistance_alternating(BentParams(n, k)),
-        None, lambda n, k, i, j: _closed_form_cost(n), False, True, 0, False),
+        None, lambda n, k: _closed_form_cost(n), False, True, 0, False),
     ("bent", "product"): _Route(
         lambda n, k, i, j, g: bent_resistance_product(BentParams(n, k)),
-        None, lambda n, k, i, j: _closed_form_cost(n), False, False, 0, False),
+        None, lambda n, k: _closed_form_cost(n), False, False, 0, False),
     ("bent", "engine"): _Route(
         lambda n, k, i, j, g: reduce_bent(n, k)[0],
-        check_engine_size, lambda n, k, i, j: _engine_cost(n, k), True, True, 0, False),
+        check_engine_size, lambda n, k: _engine_cost(n, k), True, True, 0, False),
     ("bent", "exact"): _Route(
         lambda n, k, i, j, g: resistance_exact(g, i, j),
-        check_oracle_size, lambda n, k, i, j: 100 * n * n, False, False, 0, True),
+        check_oracle_size, lambda n, k: 100 * n * n, False, False, 0, True),
     ("bent", "float"): _Route(
         lambda n, k, i, j, g: resistance_float(g, i, j),
-        check_oracle_size, lambda n, k, i, j: n * n * n // 32, False, False, 0, True),
+        check_oracle_size, lambda n, k: n * n * n // 32, False, False, 0, True),
     ("straight", "formula"): _Route(
         lambda n, k, i, j, g: straight_pair_resistance(n - 2, i, j - i),
-        None, lambda n, k, i, j: _closed_form_cost(n), False, True, math.inf, False),
+        None, lambda n, k: _closed_form_cost(n), False, True, math.inf, False),
     ("straight", "engine"): _Route(
         lambda n, k, i, j, g: reduce_straight_state(n)[0],
-        check_engine_size, lambda n, k, i, j: _engine_cost(n, n), True, True, 0, False),
+        check_engine_size, lambda n, k: _engine_cost(n, n), True, True, 0, False),
     ("straight", "exact"): _Route(
         lambda n, k, i, j, g: resistance_exact(g, i, j),
-        check_oracle_size, lambda n, k, i, j: 100 * n * n, False, False, ORACLE_DEFAULT_CUTOFF, True),
+        check_oracle_size, lambda n, k: 100 * n * n, False, False, ORACLE_DEFAULT_CUTOFF, True),
     ("straight", "float"): _Route(
         lambda n, k, i, j, g: resistance_float(g, i, j),
-        check_oracle_size, lambda n, k, i, j: n * n * n // 32, False, False, 0, True),
+        check_oracle_size, lambda n, k: n * n * n // 32, False, False, 0, True),
 }
 
 
@@ -293,7 +293,7 @@ def _run_points(command: str, family: str, points, args, out) -> int:
     if points:
         n, _, i, j = points[-1]
         methods = _resolve_methods(args.methods, family, n, i, j)
-    cost = sum(_ROUTES[family, tag].cost(*point) for point in points for tag in methods)
+    cost = sum(_ROUTES[family, tag].cost(n, k) for n, k, _, _ in points for tag in methods)
     if cost > MAX_SWEEP_COST:
         what, hint = (
             (f"sweep of {len(points)} records", "split it") if command == "sweep" else ("query", "ask a smaller n")

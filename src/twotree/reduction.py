@@ -50,22 +50,13 @@ def delta_y(
     about one input's size, and the branches are (x*r_c, y*r_c, x*r_a),
     `Fraction` products whose gcds run on single factors.  When r_c = 1,
     the base of every triangle the engine transforms, x and y are branches
-    as they stand.  The engine's own chain transforms skip four of these
-    five gcds: see `_chain_branches` for the path and its proof.
+    as they stand, and the call runs five gcds (one in the lcm, one in each
+    quotient, two in x*r_a).  The engine's own chain transforms skip four
+    of them: see `_chain_branches` for the path and its proof.
     """
     a, b, c = as_rational(r_a), as_rational(r_b), as_rational(r_c)
     if a.numerator <= 0 or b.numerator <= 0 or c.numerator <= 0:
         raise ReductionError("triangle resistances must be strictly positive")
-    return _star_branches(a, b, c)
-
-
-def _star_branches(a: Fraction, b: Fraction, c: Fraction) -> tuple[Fraction, Fraction, Fraction]:
-    """`delta_y` of strictly positive Fractions, without the input checks.
-
-    It runs five gcds (one in the lcm, one in each `Fraction` quotient, two
-    in x*a); the chain transforms of `_run_side` go through
-    `_chain_branches`, which proves four of them trivial and runs one.
-    """
     q, u, v = a.denominator, b.denominator, c.denominator
     d = lcm(q, u, v)
     big_p = a.numerator * (d // q)
@@ -78,16 +69,17 @@ def _star_branches(a: Fraction, b: Fraction, c: Fraction) -> tuple[Fraction, Fra
     return x * c, y * c, x * a
 
 
-def _chain_branches(a: Fraction, b: Fraction, c: Fraction) -> tuple[Fraction, Fraction, Fraction]:
-    """`_star_branches` for a transform of `_run_side`, with a single gcd.
+def _chain_branches(a: Fraction, b: Fraction) -> tuple[Fraction, Fraction, Fraction]:
+    """`delta_y(a, b, 1)` for a transform of `apply_delta_y`, with a single gcd.
 
-    Only for the unit chains the engine builds, where c = 1 (checked by the
-    caller).  In lowest terms a = p/q and b = r/u.  When q divides u, the
-    common denominator is D = u, P = p*(u/q), R = r, S = P + R + D and the
-    branches are x = R/S, y = P/S and t = x*a.  One gcd g = gcd(R, S)
-    reduces x; y = P/S and t = (R/g * p)/(S/g * q) are already in lowest
-    terms and are built without a gcd.  When q does not divide u, the
-    general `_star_branches` runs instead.
+    Only for the unit chains the engine builds, where the base c = 1
+    (checked by the caller).  In lowest terms a = p/q and b = r/u.  Then q
+    divides u, the common denominator is D = u, P = p*(u/q), R = r,
+    S = P + R + D and the branches are x = R/S, y = P/S and t = x*a.  One
+    gcd g = gcd(R, S) reduces x; y = P/S and t = (R/g * p)/(S/g * q) are
+    already in lowest terms and are built without a gcd.  When q does not
+    divide u, the triangle is not one of a unit chain and ReductionError is
+    raised.
 
     Proof on a unit chain.  Transform 1 sees a = b = c = 1.  Transform j+1
     sees c = 1, a = x_j (the far branch of star j, now the edge from star j
@@ -120,7 +112,9 @@ def _chain_branches(a: Fraction, b: Fraction, c: Fraction) -> tuple[Fraction, Fr
     d = b.denominator
     m, rest = divmod(d, q)
     if rest:
-        return _star_branches(a, b, c)
+        raise ReductionError(
+            f"chain invariant broken: denominator {q} of r_a does not divide denominator {d} of r_b"
+        )
     big_p = p * m
     big_r = b.numerator
     total = big_p + big_r + d
@@ -243,12 +237,12 @@ class ReductionState:
             self._observer(self, record)
 
     def apply_delta_y(self, anchor: int, middle: int, far: int, side: str, j: int) -> tuple[int, TailTriple]:
-        """Transform the triangle (anchor, middle, far) into a star."""
-        return self._transform(anchor, middle, far, side, j, _star_branches)
+        """Transform the triangle (anchor, middle, far) of a unit chain into a star.
 
-    def _transform(self, anchor: int, middle: int, far: int, side: str, j: int, branches) -> tuple[int, TailTriple]:
-        # `apply_delta_y` with the star branches from `branches`: the general
-        # `_star_branches`, or `_chain_branches` inside `_run_side`.
+        The base middle-far must have resistance 1, and the branches come
+        from `_chain_branches`; a triangle off the chain raises
+        ReductionError.
+        """
         adj = self._adj
         try:
             at_anchor, at_middle, at_far = adj[anchor], adj[middle], adj[far]
@@ -259,7 +253,7 @@ class ReductionState:
             raise ReductionError(
                 f"chain invariant broken: edge {middle}-{far} has resistance {r_c}, expected 1"
             )
-        r_1, r_2, r_3 = branches(r_a, r_b, r_c)
+        r_1, r_2, r_3 = _chain_branches(r_a, r_b)
         del at_anchor[middle], at_anchor[far], at_middle[anchor], at_middle[far]
         del at_far[anchor], at_far[middle]
         self._next_label = star = self._next_label + 1
@@ -343,7 +337,7 @@ def _run_side(
     anchor, middle = terminal, inward
     tails = state.left_tails if side == "left" else state.right_tails
     for j in range(1, steps + 1):
-        star, triple = state._transform(anchor, middle, far, side, j, _chain_branches)
+        star, triple = state.apply_delta_y(anchor, middle, far, side, j)
         tails.append(triple)
         if j == steps and not merge_last:
             break

@@ -4,24 +4,32 @@ Both sequences are computed independently of each other: fib by its own
 recurrence/doubling formulas, lucas by its own.  This keeps the classical
 cross-identities (L_m = F_{m+1} + F_{m-1} and friends) meaningful as checks
 rather than restatements of the implementation.
+
+Indices up to `_FILL_CUTOFF` come from tuples built at import (~160 KB);
+larger ones are recomputed by doubling on every call and never stored.
 """
 
 from __future__ import annotations
 
 import os
-import threading
+from itertools import accumulate
 
 ENV_CACHE_LIMIT = "TWO_TREE_CACHE_LIMIT"
 DEFAULT_INDEX_LIMIT = 2_000_000
 
-# Indices up to the cutoff are served from bottom-up tables.  Past it, fast
-# doubling recomputes each value on every call and stores nothing, so memory
-# stays bounded whatever indices are asked for.
-_FILL_CUTOFF = 25_000
+# The identity catalogue reads |index| <= 1002 on every profile (F(2m+2) at
+# m = 500 on `deep`), so `verify` never leaves the tables.
+_FILL_CUTOFF = 1024
 
-_lock = threading.Lock()
-_fib_table = [0, 1]
-_lucas_table = [2, 1]
+
+def _recurrence_table(x0: int, x1: int) -> tuple[int, ...]:
+    """(X_0, ..., X_cutoff) of X_{r+2} = X_{r+1} + X_r."""
+    steps = accumulate(range(_FILL_CUTOFF), lambda ab, _: (ab[1], ab[0] + ab[1]), initial=(x0, x1))
+    return tuple(a for a, _ in steps)
+
+
+_fib_table = _recurrence_table(0, 1)
+_lucas_table = _recurrence_table(2, 1)
 
 
 def index_limit() -> int:
@@ -44,21 +52,10 @@ def _check_index(n: int) -> None:
         raise ValueError(f"sequence index {n} exceeds the cache limit {limit}")
 
 
-def _table_pair(table: list[int], r: int) -> tuple[int, int]:
-    """(X_r, X_{r+1}) from a bottom-up table, growing it by the recurrence."""
-    if len(table) <= r + 1:
-        with _lock:
-            a, b = table[-2], table[-1]
-            while len(table) <= r + 1:
-                a, b = b, a + b
-                table.append(b)
-    return table[r], table[r + 1]
-
-
 def _fib_pair(r: int) -> tuple[int, int]:
-    """(F_r, F_{r+1}): from the table up to the cutoff, by fast doubling past it."""
-    if r <= _FILL_CUTOFF:
-        return _table_pair(_fib_table, r)
+    """(F_r, F_{r+1}): from the table below the cutoff, by fast doubling past it."""
+    if r < _FILL_CUTOFF:
+        return _fib_table[r], _fib_table[r + 1]
     fh, fh1 = _fib_pair(r >> 1)
     f_even = fh * (2 * fh1 - fh)      # F_{2h}
     f_odd = fh * fh + fh1 * fh1       # F_{2h+1}
@@ -66,9 +63,9 @@ def _fib_pair(r: int) -> tuple[int, int]:
 
 
 def _lucas_pair(r: int) -> tuple[int, int]:
-    """(L_r, L_{r+1}): from the table up to the cutoff, by Lucas doubling past it."""
-    if r <= _FILL_CUTOFF:
-        return _table_pair(_lucas_table, r)
+    """(L_r, L_{r+1}): from the table below the cutoff, by Lucas doubling past it."""
+    if r < _FILL_CUTOFF:
+        return _lucas_table[r], _lucas_table[r + 1]
     h = r >> 1
     lh, lh1 = _lucas_pair(h)
     sign = -1 if h % 2 else 1
@@ -84,10 +81,7 @@ def fib(n: int) -> int:
     """
     _check_index(n)
     r = abs(n)
-    if r < len(_fib_table):
-        value = _fib_table[r]
-    else:
-        value = _fib_pair(r)[0]
+    value = _fib_table[r] if r <= _FILL_CUTOFF else _fib_pair(r)[0]
     if n >= 0 or r % 2 == 1:
         return value
     return -value
@@ -100,10 +94,7 @@ def lucas(n: int) -> int:
     """
     _check_index(n)
     r = abs(n)
-    if r < len(_lucas_table):
-        value = _lucas_table[r]
-    else:
-        value = _lucas_pair(r)[0]
+    value = _lucas_table[r] if r <= _FILL_CUTOFF else _lucas_pair(r)[0]
     if n >= 0 or r % 2 == 0:
         return value
     return -value

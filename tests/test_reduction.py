@@ -130,7 +130,7 @@ def test_step_log_values_are_in_lowest_terms_straight_2000():
 def test_chain_transforms_run_one_gcd_each(monkeypatch):
     # Every gcd the chain path could run, its own and those inside Fraction
     # arithmetic, is counted; an lcm counts as one too.
-    counts = {"gcd": 0, "fallback": 0}
+    counts = {"gcd": 0}
     per_call = []
 
     def counted(key, real):
@@ -140,9 +140,9 @@ def test_chain_transforms_run_one_gcd_each(monkeypatch):
 
         return call
 
-    def watched_chain(a, b, c):
+    def watched_chain(a, b):
         before = counts["gcd"]
-        branches = _chain_branches(a, b, c)
+        branches = _chain_branches(a, b)
         per_call.append(counts["gcd"] - before)
         return branches
 
@@ -150,20 +150,19 @@ def test_chain_transforms_run_one_gcd_each(monkeypatch):
     monkeypatch.setattr(math, "gcd", counted_gcd)
     monkeypatch.setattr(reduction, "gcd", counted_gcd)
     monkeypatch.setattr(reduction, "lcm", counted("gcd", math.lcm))
-    monkeypatch.setattr(reduction, "_star_branches", counted("fallback", reduction._star_branches))
     monkeypatch.setattr(reduction, "_chain_branches", watched_chain)
     for n, k in [(6, 3), (40, 3), (40, 37), (200, 77), (201, 100)]:
         reduce_bent(n, k)
-        assert per_call == [1] * (n - 3) and counts["fallback"] == 0, (n, k)
+        assert per_call == [1] * (n - 3), (n, k)
         per_call.clear()
     for n in (3, 4, 200):
         reduce_straight_state(n)
-        assert per_call == [1] * (n - 2) and counts["fallback"] == 0, n
+        assert per_call == [1] * (n - 2), n
         per_call.clear()
-    # The public transform keeps the general path.
+    # The public transform is the chain transform.
     state = ReductionState(straight_2tree(4), source=1, sink=4)
     state.apply_delta_y(1, 2, 3, "left", 1)
-    assert per_call == [] and counts["fallback"] == 1
+    assert per_call == [1]
 
 
 @pytest.mark.parametrize(
@@ -174,13 +173,12 @@ def test_chain_transforms_run_one_gcd_each(monkeypatch):
         (Fraction(7, 10), Fraction(2)),
     ],
 )
-def test_chain_branches_fall_back_off_the_chain(monkeypatch, a, b):
-    calls = []
-    real_star = reduction._star_branches
-    monkeypatch.setattr(reduction, "_star_branches", lambda *args: calls.append(args) or real_star(*args))
-    branches = _chain_branches(a, b, Fraction(1))
-    assert calls == [(a, b, Fraction(1))]
-    _assert_matches_referee((a, b, Fraction(1)), branches)
+def test_chain_branches_fall_back_off_the_chain(a, b):
+    # No triangle of a unit chain gets here, so the chain path refuses it
+    # instead of falling back to the general `delta_y`.
+    with pytest.raises(ReductionError, match="^chain invariant broken: denominator"):
+        _chain_branches(a, b)
+    _assert_matches_referee((a, b, Fraction(1)), delta_y(a, b, 1))
 
 
 @pytest.mark.parametrize("bad", [0, Fraction(-1, 3)])

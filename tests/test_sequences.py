@@ -1,10 +1,14 @@
 """Fibonacci and Lucas generators over signed indices."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
-from twotree import fib, lucas
+from twotree import fib, identities, lucas, sequences
 from twotree.sequences import _FILL_CUTOFF, ENV_CACHE_LIMIT, index_limit
 
 
@@ -57,7 +61,7 @@ def test_million_index_supported():
 def test_doubling_and_table_routes_agree():
     # Split a large index across the table/doubling boundary and recombine
     # through the index-addition law, exercising both computation routes.
-    m, k = 2_000, 25_000
+    m, k = 900, _FILL_CUTOFF - 1
     assert fib(m + k) == fib(m) * fib(k + 1) + fib(m - 1) * fib(k)
     assert lucas(m + k) * 2 == lucas(m) * lucas(k) + 5 * fib(m) * fib(k)
 
@@ -87,6 +91,48 @@ def test_indices_past_the_cutoff_are_not_stored():
     # Each value here is about 2 KB, so storing even a few per call would
     # retain hundreds of KB.
     assert retained < 64 * 1024
+
+
+_COLD_QUERIES = """
+import tracemalloc
+from twotree import BentParams, bent_resistance_alternating, straight_pair_resistance
+tracemalloc.start()
+bent_resistance_alternating(BentParams(12400, 6200))
+straight_pair_resistance(12398, 3, 9000)
+print(tracemalloc.get_traced_memory()[0])
+"""
+
+
+def test_cold_queries_past_the_table_retain_nothing():
+    # A fresh process, so that no earlier test has read these indices.  Both
+    # queries read Lucas numbers near index 24,800; tables grown that far
+    # would retain about 55 MB.
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", _COLD_QUERIES],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 64 * 1024
+
+
+def test_identity_catalogue_stays_on_the_tables(monkeypatch):
+    # Every index an identity reads is linear in its parameters, so the
+    # largest |index| of a box is reached on the first or the last slice of
+    # its first parameter.
+    def past_the_table(r):
+        raise AssertionError(f"index {r} is past the table")
+
+    monkeypatch.setattr(sequences, "_fib_pair", past_the_table)
+    monkeypatch.setattr(sequences, "_lucas_pair", past_the_table)
+    for entry in identities.REGISTRY.values():
+        if not entry.in_run_all:
+            continue
+        box = entry.ranges["deep"]
+        first = entry.params[0]
+        for end in box[first]:
+            report = identities.check_identity(entry.id, ranges={**box, first: (end, end)})
+            assert report.status == "pass", (entry.id, first, end)
 
 
 def test_concurrent_readers_consistent():
