@@ -54,10 +54,11 @@ class UsageError(ValueError):
 
 class _Route:
     """call(n, k, i, j, chain) gives the value; guard(n), if set, refuses n past
-    its bound; cost(n, k) is the rough cost of one call, about 1 ns a unit.
-    An ends_only route answers only the end pair (1, n).  A route is a default
-    for (1, n) if default_at_ends, and for other pairs while n <=
-    default_inside_up_to.  An oracle runs on the chain the oracles share.
+    its bound; cost(n, k) bounds the time of one record, rendering included,
+    about 1 ns a unit.  An ends_only route answers only the end pair (1, n).
+    A route is a default for (1, n) if default_at_ends, and for other pairs
+    while n <= default_inside_up_to.  An oracle runs on the chain the oracles
+    share.
     """
 
     __slots__ = ("call", "guard", "cost", "ends_only", "default_at_ends", "default_inside_up_to", "oracle")
@@ -67,27 +68,44 @@ class _Route:
         self.default_at_ends, self.default_inside_up_to, self.oracle = default_at_ends, default_inside_up_to, oracle
 
 
+# Each price below is a fixed term per record (building, rendering and
+# checking it), a term per vertex, and the orders of the route's big-integer
+# or float work.  tests/check_prices.py times every route against its price.
+
 def _engine_cost(n: int, k: int) -> int:
     # The engine reduces about k triangles from one end of a bent chain and
-    # n - k from the other (a straight chain: k = n, all from one end).  Past
-    # a few thousand vertices the big-integer work of a side grows as the
-    # cube of its length, so an edge bend costs as much as a straight chain
-    # and about three times a centred one.  The coefficients put the price
-    # above the slowest of centre, edge and straight runs at n = 1000, 3000
-    # and 10,000.
-    return 40 * n * n + (k**3 + (n - k) ** 3) // 80
+    # n - k from the other (a straight chain: k = n, all from one end), at
+    # about 30 us a vertex (a transform, a merge and their step records) up
+    # to a few hundred vertices.  Past a few thousand the big-integer work of
+    # a side grows as the cube of its length, so an edge bend costs as much
+    # as a straight chain and about three times a centred one.  The
+    # coefficients put the price above the slowest of centre, edge and
+    # straight runs at n = 6 to 3000, and at 10,000.
+    return 200_000 + 40_000 * n + 40 * n * n + (k**3 + (n - k) ** 3) // 80
 
 
 def _closed_form_cost(n: int) -> int:
     # Each closed form reads a few Fibonacci/Lucas numbers of index up to
-    # about 2n, then reduces and renders one fraction of O(n) bits.  Past the
-    # 1024-index sequence tables the numbers come from fast doubling, and
-    # gcd and int-to-decimal conversion grow as the square of the bit length.
-    # The coefficient puts the price above the slowest measured query,
-    # rendering included: `product` with an edge bend, 0.40 / 4.4 / 42 s at
-    # n = 10^5 / 3*10^5 / 10^6, against `alternating` at 0.29 / 1.7 / 17 s
-    # and `formula` at 0.19 / 2.0 / 20 s.
-    return 100 * n + n * n // 16
+    # about 2n, then reduces and renders one fraction of O(n) bits, about
+    # 0.1 ms a record at small n.  Past the 1024-index sequence tables the
+    # numbers come from fast doubling, and gcd and int-to-decimal conversion
+    # grow as the square of the bit length.  The coefficient puts the price
+    # above the slowest measured query, rendering included: `product` with an
+    # edge bend, 0.47 ms at n = 2000 and 0.40 / 4.4 / 42 s at n = 10^5 /
+    # 3*10^5 / 10^6, against `alternating` at 0.29 / 1.7 / 17 s and `formula`
+    # at 0.19 / 2.0 / 20 s.
+    return 100_000 + 100 * n + n * n // 16
+
+
+def _exact_cost(n: int) -> int:
+    # Building the chain and the envelope rows costs about 20 us a vertex;
+    # the O(n) row operations on O(n)-bit integers grow as n^2 past that.
+    return 100_000 + 20_000 * n + 100 * n * n
+
+
+def _float_cost(n: int) -> int:
+    # A dense n x n float64 Laplacian filled edge by edge, then a cubic solve.
+    return 200_000 + 15_000 * n + 50 * n * n + n**3 // 32
 
 
 # Every route of the CLI.  A call looks its function up in this module when it
@@ -106,10 +124,10 @@ _ROUTES = {
         check_engine_size, lambda n, k: _engine_cost(n, k), True, True, 0, False),
     ("bent", "exact"): _Route(
         lambda n, k, i, j, g: resistance_exact(g, i, j),
-        check_oracle_size, lambda n, k: 100 * n * n, False, False, 0, True),
+        check_oracle_size, lambda n, k: _exact_cost(n), False, False, 0, True),
     ("bent", "float"): _Route(
         lambda n, k, i, j, g: resistance_float(g, i, j),
-        check_oracle_size, lambda n, k: n * n * n // 32, False, False, 0, True),
+        check_oracle_size, lambda n, k: _float_cost(n), False, False, 0, True),
     ("straight", "formula"): _Route(
         lambda n, k, i, j, g: straight_pair_resistance(n - 2, i, j - i),
         None, lambda n, k: _closed_form_cost(n), False, True, math.inf, False),
@@ -118,10 +136,10 @@ _ROUTES = {
         check_engine_size, lambda n, k: _engine_cost(n, n), True, True, 0, False),
     ("straight", "exact"): _Route(
         lambda n, k, i, j, g: resistance_exact(g, i, j),
-        check_oracle_size, lambda n, k: 100 * n * n, False, False, ORACLE_DEFAULT_CUTOFF, True),
+        check_oracle_size, lambda n, k: _exact_cost(n), False, False, ORACLE_DEFAULT_CUTOFF, True),
     ("straight", "float"): _Route(
         lambda n, k, i, j, g: resistance_float(g, i, j),
-        check_oracle_size, lambda n, k: n * n * n // 32, False, False, 0, True),
+        check_oracle_size, lambda n, k: _float_cost(n), False, False, 0, True),
 }
 
 
@@ -319,11 +337,12 @@ def _cmd_resistance(args, out) -> int:
 
 
 def _parse_span(text: str) -> tuple[int, int]:
-    if ":" in text:
-        lo_text, hi_text = text.split(":", 1)
-        lo, hi = int(lo_text), int(hi_text)
-    else:
-        lo = hi = int(text)
+    lo_text, colon, hi_text = text.partition(":")
+    try:
+        lo = int(lo_text)
+        hi = int(hi_text) if colon else lo
+    except ValueError:
+        raise UsageError(f"bad range {text!r}; expected N or LO:HI") from None
     if lo > hi:
         raise UsageError(f"empty range {text!r}")
     return lo, hi
@@ -344,14 +363,17 @@ def _cmd_sweep(args, out) -> int:
     lo, hi = _parse_span(args.n)
     if args.family == "straight" and args.k is not None:
         raise UsageError("--k applies to the bent family only")
+    if args.family == "straight" and args.k_policy is not None:
+        raise UsageError("--k-policy applies to the bent family only")
     least = 3 if args.family == "straight" else 6
     if lo < least:
         raise UsageError(f"{args.family} chains need n >= {least}")
-    if args.family == "bent" and args.k_policy == "fixed" and args.k is None:
+    policy = args.k_policy or "all"
+    if args.family == "bent" and policy == "fixed" and args.k is None:
         raise UsageError("k-policy 'fixed' needs --k")
-    if args.family == "bent" and args.k_policy != "fixed" and args.k is not None:
-        raise UsageError(f"--k applies to k-policy 'fixed' only, not {args.k_policy!r}")
-    return _run_points("sweep", args.family, _sweep_points(args.family, lo, hi, args.k_policy, args.k), args, out)
+    if args.family == "bent" and policy != "fixed" and args.k is not None:
+        raise UsageError(f"--k applies to k-policy 'fixed' only, not {policy!r}")
+    return _run_points("sweep", args.family, _sweep_points(args.family, lo, hi, policy, args.k), args, out)
 
 
 def _cmd_verify(args, out) -> int:
@@ -433,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("family", choices=("straight", "bent"))
     p_sweep.add_argument("--n", required=True, help="single N or range LO:HI")
     p_sweep.add_argument("--k", type=int)
-    p_sweep.add_argument("--k-policy", choices=("all", "fixed", "center"), default="all")
+    p_sweep.add_argument("--k-policy", choices=("all", "fixed", "center"), help="bent family only (default all)")
     p_sweep.add_argument("--methods", help="comma list, 'all', or 'default'")
     add_common(p_sweep)
     p_sweep.set_defaults(run=_cmd_sweep)

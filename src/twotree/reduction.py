@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Callable, NamedTuple, Optional
 
 from .graphs import GraphError, WeightedGraph, bent_2tree, straight_2tree
@@ -43,43 +43,27 @@ def delta_y(
 
     With s = r_a + r_b + r_c the branches are (r_b*r_c/s, r_a*r_c/s,
     r_a*r_b/s); branch i attaches to the triangle node opposite edge i.
-    They are computed over one common denominator: written in lowest terms
-    as r_a = p/q, r_b = r/u, r_c = w/v, the inputs go over D = lcm(q, u, v)
-    as P = p*D/q, R = r*D/u and S = P + R + w*D/v.  Then x = R/S = r_b/s
-    and y = P/S = r_a/s, each one reduction to lowest terms on integers of
-    about one input's size, and the branches are (x*r_c, y*r_c, x*r_a),
-    `Fraction` products whose gcds run on single factors.  When r_c = 1,
-    the base of every triangle the engine transforms, x and y are branches
-    as they stand, and the call runs five gcds (one in the lcm, one in each
-    quotient, two in x*r_a).  The engine's own chain transforms skip four
-    of them: see `_chain_branches` for the path and its proof.
+    The engine's own transforms use `_chain_branches` instead.
     """
     a, b, c = as_rational(r_a), as_rational(r_b), as_rational(r_c)
     if a.numerator <= 0 or b.numerator <= 0 or c.numerator <= 0:
         raise ReductionError("triangle resistances must be strictly positive")
-    q, u, v = a.denominator, b.denominator, c.denominator
-    d = lcm(q, u, v)
-    big_p = a.numerator * (d // q)
-    big_r = b.numerator * (d // u)
-    total = big_p + big_r + c.numerator * (d // v)
-    x = Fraction(big_r, total)
-    y = Fraction(big_p, total)
-    if c.numerator == v == 1:
-        return x, y, x * a
-    return x * c, y * c, x * a
+    s = a + b + c
+    return b * c / s, a * c / s, a * b / s
 
 
 def _chain_branches(a: Fraction, b: Fraction) -> tuple[Fraction, Fraction, Fraction]:
     """`delta_y(a, b, 1)` for a transform of `apply_delta_y`, with a single gcd.
 
     Only for the unit chains the engine builds, where the base c = 1
-    (checked by the caller).  In lowest terms a = p/q and b = r/u.  Then q
-    divides u, the common denominator is D = u, P = p*(u/q), R = r,
-    S = P + R + D and the branches are x = R/S, y = P/S and t = x*a.  One
-    gcd g = gcd(R, S) reduces x; y = P/S and t = (R/g * p)/(S/g * q) are
-    already in lowest terms and are built without a gcd.  When q does not
-    divide u, the triangle is not one of a unit chain and ReductionError is
-    raised.
+    (checked by the caller).  In lowest terms a = p/q and b = r/u.  Put
+    both over a common denominator D as P = a*D and R = b*D, so that
+    S = P + R + D = (a + b + 1)*D; the branches are x = b/(a + b + 1) = R/S,
+    y = P/S and t = a*b/(a + b + 1) = x*a.  On a unit chain q divides u, so
+    D = u, P = p*(u/q) and R = r.  One gcd g = gcd(R, S) reduces x;
+    y = P/S and t = (R/g * p)/(S/g * q) are already in lowest terms and are
+    built without a gcd.  When q does not divide u, the triangle is not one
+    of a unit chain and ReductionError is raised.
 
     Proof on a unit chain.  Transform 1 sees a = b = c = 1.  Transform j+1
     sees c = 1, a = x_j (the far branch of star j, now the edge from star j
@@ -284,14 +268,11 @@ class ReductionState:
         at_u, at_w = adj[u], adj[w]
         del at_u[v], at_w[v]
         existing = at_u.get(w)
-        if existing is None:
-            at_u[w] = at_w[u] = merged
-            self._emit(side, "series", (u, v, w), (r_u, r_w), (merged,))
-            return u, w
-        combined = parallel_combine(existing, merged)
-        at_u[w] = at_w[u] = combined
+        stored = merged if existing is None else parallel_combine(existing, merged)
+        at_u[w] = at_w[u] = stored
         self._emit(side, "series", (u, v, w), (r_u, r_w), (merged,))
-        self._emit(side, "parallel", (u, w), (existing, merged), (combined,))
+        if existing is not None:
+            self._emit(side, "parallel", (u, w), (existing, merged), (stored,))
         return u, w
 
     def prune_leaf(self, v: int, side: str) -> None:

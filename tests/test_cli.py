@@ -282,6 +282,41 @@ def test_sweep_k_needs_the_fixed_policy(capsys):
         assert "--k applies to" in err
 
 
+@pytest.mark.parametrize("span", ["5:", ":5", "a:b", "5:6:7", "x"])
+def test_malformed_sweep_span_is_a_usage_error(capsys, span):
+    code, out, err = run_cli(capsys, "sweep", "bent", "--n", span)
+    assert (code, out) == (2, "")
+    assert err == f"error: bad range {span!r}; expected N or LO:HI\n"
+
+
+def test_k_policy_applies_to_bent_sweeps_only(capsys):
+    for policy in ("all", "center", "fixed"):
+        code, out, err = run_cli(capsys, "sweep", "straight", "--n", "3:3", "--k-policy", policy)
+        assert (code, out) == (2, ""), policy
+        assert err == "error: --k-policy applies to the bent family only\n"
+    # Without the option a bent sweep runs every bend, as with `all`.
+    code, default, err = run_cli(capsys, "sweep", "bent", "--n", "6:9", "--format", "json")
+    assert (code, err) == (0, "")
+    code, every, err = run_cli(capsys, "sweep", "bent", "--n", "6:9", "--k-policy", "all", "--format", "json")
+    assert (code, err) == (0, "")
+    assert default == every and len(default.splitlines()) == 10
+
+
+@pytest.mark.parametrize(
+    "argv, methods",
+    [
+        (("bent", "--n", "8", "--k", "4"), ["alternating", "engine"]),
+        (("straight", "--n", "8"), ["formula", "engine"]),
+        (("straight", "--n", str(cli.ORACLE_DEFAULT_CUTOFF), "--i", "2", "--j", "150"), ["formula", "exact"]),
+        (("straight", "--n", str(cli.ORACLE_DEFAULT_CUTOFF + 1), "--i", "2", "--j", "150"), ["formula"]),
+    ],
+)
+def test_default_methods(capsys, argv, methods):
+    code, out, err = run_cli(capsys, "resistance", *argv, "--format", "json")
+    assert (code, err) == (0, "")
+    assert list(json.loads(out)["methods"]) == methods
+
+
 @pytest.mark.parametrize(
     "argv, size",
     [

@@ -129,7 +129,7 @@ def test_step_log_values_are_in_lowest_terms_straight_2000():
 
 def test_chain_transforms_run_one_gcd_each(monkeypatch):
     # Every gcd the chain path could run, its own and those inside Fraction
-    # arithmetic, is counted; an lcm counts as one too.
+    # arithmetic, is counted.
     counts = {"gcd": 0}
     per_call = []
 
@@ -149,7 +149,6 @@ def test_chain_transforms_run_one_gcd_each(monkeypatch):
     counted_gcd = counted("gcd", math.gcd)
     monkeypatch.setattr(math, "gcd", counted_gcd)
     monkeypatch.setattr(reduction, "gcd", counted_gcd)
-    monkeypatch.setattr(reduction, "lcm", counted("gcd", math.lcm))
     monkeypatch.setattr(reduction, "_chain_branches", watched_chain)
     for n, k in [(6, 3), (40, 3), (40, 37), (200, 77), (201, 100)]:
         reduce_bent(n, k)
