@@ -75,7 +75,7 @@ class _Route:
 def _engine_cost(n: int, k: int) -> int:
     # The engine reduces about k triangles from one end of a bent chain and
     # n - k from the other (a straight chain: k = n, all from one end), at
-    # about 30 us a vertex (a transform, a merge and their step records) up
+    # about 15 us a vertex (a transform, a merge and their step records) up
     # to a few hundred vertices.  Past a few thousand the big-integer work of
     # a side grows as the cube of its length, so an edge bend costs as much
     # as a straight chain and about three times a centred one.  The

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import decimal
 from fractions import Fraction
+from math import gcd
 
 
 def as_rational(value: Fraction | int) -> Fraction:
@@ -41,11 +42,36 @@ def _coprime_fraction(numerator: int, denominator: int) -> Fraction:
 
 
 def series_combine(a: Fraction | int, b: Fraction | int) -> Fraction:
-    """Resistance of two resistors in series (nonnegative inputs)."""
+    """Resistance of two resistors in series (nonnegative inputs).
+
+    The same reduced Fraction as `a + b`, by Knuth's addition (TAOCP 2,
+    4.5.1) on the integers.  With the operands ordered so that da <= db,
+    the case where da divides db comes first: t = na*(db/da) + nb shares
+    no factor with db/da (gcd(nb, db) = 1), so one exact division of t by
+    da, or else one gcd(t, da), reduces the sum.  Chain sums take it: the
+    denominator of a partial sum of tails divides the next tail's.
+    Otherwise the two gcds of Knuth's general case run.
+    """
     ra, rb = as_rational(a), as_rational(b)
-    if ra.numerator < 0 or rb.numerator < 0:
+    na, da, nb, db = ra.numerator, ra.denominator, rb.numerator, rb.denominator
+    if na < 0 or nb < 0:
         raise ValueError("series combination needs nonnegative resistances")
-    return ra + rb
+    if da > db:
+        na, da, nb, db = nb, db, na, da
+    m, rest = divmod(db, da)
+    if not rest:
+        t = na * m + nb
+        q, rest = divmod(t, da)
+        if not rest:
+            return _coprime_fraction(q, m)
+        g = gcd(t, da)
+        return _coprime_fraction(t // g, db // g)
+    g = gcd(da, db)
+    s = da // g
+    t = na * (db // g) + nb * s
+    g = gcd(t, g)
+    return _coprime_fraction(t // g, s * (db // g))
+
 
 def parallel_combine(a: Fraction | int, b: Fraction | int) -> Fraction:
     """Resistance of two resistors in parallel: a*b / (a + b).

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
+from functools import reduce
 from math import gcd
 from typing import Callable, NamedTuple, Optional
 
@@ -43,7 +44,8 @@ def delta_y(
 
     With s = r_a + r_b + r_c the branches are (r_b*r_c/s, r_a*r_c/s,
     r_a*r_b/s); branch i attaches to the triangle node opposite edge i.
-    The engine's own transforms use `_chain_branches` instead.
+    The engine's own transforms use `_chain_branches`; the engine calls
+    this once per side run, to check that run's last transform.
     """
     a, b, c = as_rational(r_a), as_rational(r_b), as_rational(r_c)
     if a.numerator <= 0 or b.numerator <= 0 or c.numerator <= 0:
@@ -324,7 +326,24 @@ def _run_side(
             break
         u, w = state.merge_series_at(middle, side)
         anchor, middle, far = star, far, (w if u == star else u)
+    _check_last_transform(state)
     return middle
+
+
+def _check_last_transform(state: ReductionState) -> None:
+    """Check the latest star transform against the textbook `delta_y`.
+
+    The tail-bookkeeping check cannot see a wrong tail t, since both of its
+    sides read the same t values; this one can, at O(1) big-integer work.
+    """
+    record = next(r for r in reversed(state.log) if r.kind == "delta_y")
+    if record.outputs != delta_y(*record.inputs):
+        raise ReductionError(f"star transform {record.index} disagrees with delta_y")
+
+
+def _tail_total(tails: list[TailTriple]) -> Fraction:
+    """Sum of the tails t, in order, by `series_combine`."""
+    return reduce(series_combine, (tr.t for tr in tails))
 
 
 def _collapse_to_single_edge(state: ReductionState, expected: Fraction) -> Fraction:
@@ -356,7 +375,7 @@ def reduce_straight_state(
     m = n - 2
     last_middle = _run_side(state, terminal=1, inward=2, steps=m, side="left", merge_last=False)
     state.prune_leaf(last_middle, "left")
-    expected = sum((tr.t for tr in state.left_tails), Fraction(0)) + state.left_tails[-1].b
+    expected = series_combine(_tail_total(state.left_tails), state.left_tails[-1].b)
     return _collapse_to_single_edge(state, expected), state
 
 
@@ -377,9 +396,11 @@ def reduce_bent(
     _run_side(state, terminal=n, inward=n - 1, steps=ell, side="right", merge_last=False)
     left_last = state.left_tails[-1]
     right_last = state.right_tails[-1]
-    expected = (
-        parallel_combine(left_last.b + right_last.s, left_last.s + right_last.b + 1)
-        + sum((tr.t for tr in state.left_tails), Fraction(0))
-        + sum((tr.t for tr in state.right_tails), Fraction(0))
+    expected = series_combine(
+        series_combine(
+            parallel_combine(left_last.b + right_last.s, left_last.s + right_last.b + 1),
+            _tail_total(state.left_tails),
+        ),
+        _tail_total(state.right_tails),
     )
     return _collapse_to_single_edge(state, expected), state

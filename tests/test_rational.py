@@ -7,6 +7,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twotree.rational import (
     _coprime_fraction,
@@ -16,6 +18,7 @@ from twotree.rational import (
     ratio_string,
     series_combine,
 )
+from twotree.reduction import reduce_straight_state
 
 
 def test_series_examples():
@@ -40,6 +43,69 @@ def test_parallel_rejects_non_physical():
 def test_series_rejects_negative():
     with pytest.raises(ValueError):
         series_combine(-1, 2)
+
+
+_big = st.integers(0, 10**40)
+_den = st.integers(1, 10**40)
+
+
+@st.composite
+def _divisor_pairs(draw):
+    # b's denominator is a multiple of a's (before Fraction reduces them).
+    da, f = draw(_den), draw(st.one_of(st.integers(1, 12), _den))
+    return Fraction(draw(_big), da), Fraction(draw(_big), da * f)
+
+
+@st.composite
+def _exact_quotient_pairs(draw):
+    # b = q/f - a, so the sum q/f has the quotient of the denominators as its
+    # own: the divisor case whose second division is exact.
+    a, f = Fraction(draw(_big), draw(_den)), draw(st.integers(1, 10**12))
+    q = math.floor(a * f) + draw(st.integers(1, 10**6))
+    return a, Fraction(q, f) - a
+
+
+@st.composite
+def _equal_denominator_pairs(draw):
+    d = draw(_den)
+    return Fraction(draw(_big), d), Fraction(draw(_big), d)
+
+
+_operands = st.one_of(
+    st.integers(0, 10**40),
+    st.just(0),
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(0, 50), st.integers(1, 50)),
+    st.builds(Fraction, _big, _den),
+)
+
+
+@settings(deadline=None, max_examples=600)
+@given(
+    pair=st.one_of(
+        _divisor_pairs(),
+        _exact_quotient_pairs(),
+        _equal_denominator_pairs(),
+        st.tuples(_operands, _operands),
+        st.tuples(st.builds(Fraction, st.integers(-(10**40), -1), _den), _operands),
+    )
+)
+def test_series_combine_is_fraction_addition(pair):
+    for a, b in (pair, pair[::-1]):
+        if a < 0 or b < 0:
+            with pytest.raises(ValueError):
+                series_combine(a, b)
+            continue
+        value, ref = series_combine(a, b), Fraction(a) + Fraction(b)
+        assert type(value) is Fraction
+        assert (value.numerator, value.denominator) == (ref.numerator, ref.denominator)
+
+
+def test_series_combine_sums_chain_tails_in_order():
+    total = ref = Fraction(0)
+    for tr in reduce_straight_state(300)[1].left_tails:
+        total, ref = series_combine(total, tr.t), ref + tr.t
+        assert (total.numerator, total.denominator) == (ref.numerator, ref.denominator)
 
 
 def test_as_rational_rejects_float():

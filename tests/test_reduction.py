@@ -24,7 +24,7 @@ from twotree import (
     straight_2tree,
     straight_pair_resistance,
 )
-from twotree import reduction
+from twotree import cli, rational, reduction
 from twotree.reduction import ReductionState, TailTriple, _chain_branches, _collapse_to_single_edge, delta_y
 
 
@@ -162,6 +162,60 @@ def test_chain_transforms_run_one_gcd_each(monkeypatch):
     state = ReductionState(straight_2tree(4), source=1, sink=4)
     state.apply_delta_y(1, 2, 3, "left", 1)
     assert per_call == [1]
+
+
+def test_chain_sums_run_a_bounded_number_of_gcds(monkeypatch):
+    # Every gcd a series addition could run, its own and those inside
+    # Fraction arithmetic, is counted.  The partial sums of a chain take the
+    # divisor case of `series_combine`; what is left is O(1) per run: on a
+    # straight chain the last addition, tails plus b, once in the collapse
+    # and once in the bookkeeping: both denominators are equal and do not
+    # divide the numerator of the sum, so gcd(t, da) must run.
+    counts = {"gcd": 0}
+    per_call = []
+    real_gcd, real_series = math.gcd, reduction.series_combine
+
+    def counted_gcd(*args):
+        counts["gcd"] += 1
+        return real_gcd(*args)
+
+    def watched_series(a, b):
+        before = counts["gcd"]
+        value = real_series(a, b)
+        per_call.append(counts["gcd"] - before)
+        return value
+
+    monkeypatch.setattr(math, "gcd", counted_gcd)
+    monkeypatch.setattr(rational, "gcd", counted_gcd)
+    monkeypatch.setattr(reduction, "series_combine", watched_series)
+    for run, most in ((lambda: reduce_straight_state(200), 2), (lambda: reduce_bent(200, 77), 4)):
+        _, state = run()
+        assert 0 < sum(per_call) <= most
+        # Every tail goes through `series_combine` once more, in the
+        # bookkeeping: the first tail starts the sum, and the last b (a
+        # straight chain) or the parallel pair (a bent one) joins it.
+        merges = sum(record.kind == "series" for record in state.log)
+        assert len(per_call) - merges == len(state.left_tails) + len(state.right_tails)
+        per_call.clear()
+
+
+def test_a_wrong_tail_is_refused(monkeypatch, capsys):
+    # Both sides of the tail bookkeeping read the same t, so only the check
+    # of each side's last transform against `delta_y` sees a wrong one.
+    real = reduction._chain_branches
+
+    def inverted(a, b):
+        x, y, t = real(a, b)
+        return x, y, Fraction(t.denominator, t.numerator)
+
+    monkeypatch.setattr(reduction, "_chain_branches", inverted)
+    with pytest.raises(ReductionError, match="disagrees with delta_y"):
+        reduce_bent(40, 17)
+    with pytest.raises(ReductionError, match="disagrees with delta_y"):
+        reduce_straight_state(40)
+    assert cli.main(["reduce", "bent", "40", "17"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "disagrees with delta_y" in err
 
 
 @pytest.mark.parametrize(
