@@ -104,8 +104,11 @@ def _exact_cost(n: int) -> int:
 
 
 def _float_cost(n: int) -> int:
-    # A dense n x n float64 Laplacian filled edge by edge, then a cubic solve.
-    return 200_000 + 15_000 * n + 50 * n * n + n**3 // 32
+    # The band, built edge by edge, then elimination and back substitution
+    # inside it: a chain's half-bandwidth is at most 3, so both are linear,
+    # about 4 us a vertex at n = 2000.  The coefficient leaves room for the
+    # record around it and for a slow phase of the machine.
+    return 200_000 + 15_000 * n
 
 
 # Every route of the CLI.  A call looks its function up in this module when it

@@ -6,10 +6,11 @@ on a connected graph.  The exact path builds only each row's envelope,
 straight from the edge list, and solves it with fraction-free (Bareiss)
 elimination inside that envelope, so the hot loop is pure integer
 arithmetic and a banded chain costs O(n) memory and big-integer operations.
-The float path builds its own dense float64 Laplacian and hands the grounded
-system to `numpy.linalg.solve`; it exists to cross-check the exact path,
-never to feed it.  numpy is imported only when the float path runs, so
-importing this module (and the package) does not load it.
+The float path builds its own upper band in plain Python floats, also from
+the edge list, and runs Gaussian elimination without pivoting inside it: a
+chain's half-bandwidth is at most 3, so it costs O(n) float operations.  It
+exists to cross-check the exact path, never to feed it, and shares no code
+with it past the query checks.
 """
 
 from __future__ import annotations
@@ -17,12 +18,19 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import accumulate
 from math import lcm
+from operator import mul
 
 from .graphs import GraphError, WeightedGraph
 
-# The float oracle holds a dense n x n Laplacian and the exact one's time
-# grows with its envelopes, so larger graphs are refused before either runs.
+# The exact oracle's time grows with its envelopes' bit work, so larger graphs
+# are refused before either oracle runs.
 ORACLE_VERTEX_GUARD = 2000
+
+# The float band solve does about n * (w + 1)^2 multiply-adds for
+# half-bandwidth w: about 3 * 10^4 on a 2000-vertex chain, but about n^3 on a
+# shuffled or dense graph.  This bound, a few seconds, is checked before the
+# band is built.
+FLOAT_BAND_WORK_GUARD = 10**8
 
 
 def check_oracle_size(n: int) -> None:
@@ -128,26 +136,49 @@ def resistance_exact(g: WeightedGraph, i: int, j: int, *, ground: int | None = N
 
 
 def resistance_float(g: WeightedGraph, i: int, j: int) -> float:
-    """Effective resistance from a float64 solve of the Laplacian grounded at j."""
+    """Effective resistance from a float solve of the Laplacian grounded at j.
+
+    Row r of the band holds columns r..r + w of the grounded Laplacian, where
+    w is the largest b - a over edges off j.  The system is symmetric
+    positive definite, so elimination needs no pivoting and its fill stays
+    inside the band.
+    """
     _check_query(g, i, j)
     if i == j:
         return 0.0
     if not g.is_connected():
         raise GraphError("resistance is undefined on a disconnected graph")
-    # Imported here, after every refusal, so only a float solve pays for numpy.
-    import numpy as np
-
-    lap = np.zeros((g.n, g.n))
+    n = g.n
+    width = max((b - a for a, b, _ in g.edges if j not in (a, b)), default=0)
+    work = n * (width + 1) ** 2
+    if work > FLOAT_BAND_WORK_GUARD:
+        raise GraphError(
+            f"the float oracle's band solve needs about {work} operations"
+            f" (half-bandwidth {width}), over {FLOAT_BAND_WORK_GUARD}"
+        )
+    band = [[0.0] * (width + 1) for _ in range(n)]
     for a, b, wgt in g.edges:
-        w = float(wgt)
-        lap[a - 1, b - 1] -= w
-        lap[b - 1, a - 1] -= w
-        lap[a - 1, a - 1] += w
-        lap[b - 1, b - 1] += w
-    # Grounding j: its potential is pinned to 0 and drops out of every other row.
-    lap[j - 1, :] = 0.0
-    lap[:, j - 1] = 0.0
-    lap[j - 1, j - 1] = 1.0
-    current = np.zeros(g.n)
-    current[i - 1] = 1.0
-    return float(np.linalg.solve(lap, current)[i - 1])
+        c = float(wgt)
+        band[a - 1][0] += c
+        band[b - 1][0] += c
+        # Grounding j: its potential is pinned to 0 and drops out of every other row.
+        if j not in (a, b):
+            band[a - 1][b - a] = -c
+    band[j - 1][0] = 1.0
+    x = [0.0] * n
+    x[i - 1] = 1.0
+    for k, row_k in enumerate(band):
+        pivot, x_k = row_k[0], x[k]
+        for d in range(1, width + 1):
+            # Entry (k, k + d), also (k + d, k) by symmetry; zero past column n.
+            f = row_k[d] / pivot
+            if f == 0.0:
+                continue
+            row_r = band[k + d]
+            for c in range(width + 1 - d):
+                row_r[c] -= f * row_k[d + c]
+            x[k + d] -= f * x_k
+    for r in range(n - 1, -1, -1):
+        row = band[r]
+        x[r] = (x[r] - sum(map(mul, row[1:], x[r + 1 : r + width + 1]))) / row[0]
+    return x[i - 1]

@@ -14,15 +14,9 @@ times its price.  Bent chains take the centred bend of `sweep --k-policy
 center`; straight routes take the interior pair (2, n - 1), except the
 engine, which only answers (1, n).  The file name keeps it out of the
 default test collection; it takes about half a minute.
-
-The float oracle's BLAS runs on one thread here unless OPENBLAS_NUM_THREADS
-is set: on a loaded 2-vCPU machine a multithreaded solve at n = 200 stalled
-for about 130 ms a call over several calls in some processes, against 2-3 ms
-otherwise, which times the scheduler, not the route.
 """
 
 import io
-import os
 import statistics
 import time
 
@@ -71,7 +65,6 @@ def median_seconds(family: str, tag: str, n: int, k, i: int, j: int) -> float:
 
 def measure() -> list[tuple]:
     """One row per case: the case, its median and its price, both in seconds."""
-    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # read when numpy loads
     rows = []
     for family, tag, n, k, i, j in cases():
         seconds = median_seconds(family, tag, n, k, i, j)

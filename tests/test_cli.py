@@ -696,14 +696,16 @@ def test_reduce_step_log_is_pinned(capsys, argv, lines, digest):
 
 
 # Runs in a fresh interpreter, since this test session has already loaded
-# numpy and the identity catalogue.  After the import and after each command
-# it records the exit code, which of the watched modules are loaded, and the
-# stdout.
+# the identity catalogue.  numpy is blocked first, so an import of it fails
+# loudly.  After the import and after each command it records the exit code,
+# which of the watched modules are loaded, and the stdout.
 _IMPORT_PROBE = """
 import contextlib, io, json, sys
+sys.modules["numpy"] = None
 
 def loaded():
-    return [m for m in ("numpy", "twotree.identities", "dataclasses", "inspect") if m in sys.modules]
+    watched = ("numpy", "twotree.identities", "dataclasses", "inspect")
+    return [m for m in watched if sys.modules.get(m) is not None]
 
 import twotree
 from twotree.cli import main
@@ -728,7 +730,7 @@ def _probe(argvs):
     return json.loads(proc.stdout)
 
 
-def test_numpy_loads_only_for_the_float_oracle():
+def test_no_command_loads_numpy():
     imported, default_bent, interior, reduce_, refused, everything = _probe([
         ["resistance", "bent", "--n", "8", "--k", "4", "--format", "json"],
         ["resistance", "straight", "--n", "12", "--i", "2", "--j", "9", "--format", "json"],
@@ -744,7 +746,7 @@ def test_numpy_loads_only_for_the_float_oracle():
     assert refused[1] == 2 and "numpy" not in refused[2]
     _, code, loaded, out = everything
     assert code == 0
-    assert "numpy" in loaded
+    assert "numpy" not in loaded
     record = json.loads(out)
     assert "float" in record["methods"] and record["agree"] is True
 

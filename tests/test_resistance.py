@@ -1,4 +1,4 @@
-"""Resistance oracles: exact envelope solve and float grounded solve.
+"""Resistance oracles: exact envelope solve and float band solve.
 
 The independent check here is a plain rational Gaussian elimination written
 directly in the test, so the fraction-free production path is never its own
@@ -7,6 +7,7 @@ referee.
 
 import itertools
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -23,6 +24,7 @@ from twotree import (
     resistance_exact,
     resistance_float,
     straight_2tree,
+    straight_pair_resistance,
 )
 
 
@@ -209,12 +211,37 @@ def test_rayleigh_monotonicity_on_families():
             assert resistance_exact(trimmed, 1, g.n) >= base
 
 
+def _float_close(approx, exact):
+    return abs(approx - float(exact)) <= 1e-9 * float(exact)
+
+
 def test_float_examples():
     assert abs(resistance_float(straight_2tree(3), 1, 3) - 2 / 3) < 1e-9
     assert abs(resistance_float(bent_2tree(6, 3), 1, 6) - 1.2) < 1e-9
     g10 = straight_2tree(10)
-    exact = resistance_exact(g10, 1, 10)
-    assert abs(resistance_float(g10, 1, 10) - float(exact)) <= 1e-9 * float(exact)
+    assert _float_close(resistance_float(g10, 1, 10), resistance_exact(g10, 1, 10))
+    n = 2000
+    bent = bent_resistance_product(BentParams(n, 1000))
+    assert _float_close(resistance_float(bent_2tree(n, 1000), 1, n), bent)
+    pair = straight_pair_resistance(n - 2, 2, n - 3)
+    assert _float_close(resistance_float(straight_2tree(n), 2, n - 1), pair)
+    for n in range(6, 61):
+        for k in range(3, n - 2):
+            exact = bent_resistance_product(BentParams(n, k))
+            assert _float_close(resistance_float(bent_2tree(n, k), 1, n), exact), (n, k)
+
+
+def test_float_refuses_a_wide_band_up_front():
+    n = 2000
+    chain = bent_2tree(n, 1000)
+    label = list(range(1, n + 1))
+    random.Random(5).shuffle(label)
+    shuffled = WeightedGraph(n, [(label[a - 1], label[b - 1], w) for a, b, w in chain.edges])
+    start = time.perf_counter()
+    with pytest.raises(GraphError, match="band"):
+        resistance_float(shuffled, label[0], label[-1])
+    assert time.perf_counter() - start < 1.0
+    assert resistance_float(chain, 1, n) > 0
 
 
 def test_float_guard():
