@@ -75,12 +75,12 @@ class _Route:
 def _engine_cost(n: int, k: int) -> int:
     # The engine reduces about k triangles from one end of a bent chain and
     # n - k from the other (a straight chain: k = n, all from one end), at
-    # about 15 us a vertex (a transform, a merge and their step records) up
-    # to a few hundred vertices.  Past a few thousand the big-integer work of
-    # a side grows as the cube of its length, so an edge bend costs as much
-    # as a straight chain and about three times a centred one.  The
-    # coefficients put the price above the slowest of centre, edge and
-    # straight runs at n = 6 to 3000, and at 10,000.
+    # about 7 us a vertex (a transform, a merge, their int-tuple log entries)
+    # up to a few hundred vertices.  Past a few thousand the big-integer work
+    # of a side grows as the cube of its length, so an edge bend costs as
+    # much as a straight chain and about three times a centred one.  The
+    # coefficients, fitted at 15 us a vertex, stay above the slowest of
+    # centre, edge and straight runs at n = 6 to 3000, and at 10,000.
     return 200_000 + 40_000 * n + 40 * n * n + (k**3 + (n - k) ** 3) // 80
 
 

@@ -1,8 +1,8 @@
 """Exact rational arithmetic: the two circuit primitives plus rendering.
 
-All resistances in this package are `fractions.Fraction` values, which are
-kept in lowest terms with a positive denominator by construction.  Floating
-point never enters except in the dedicated float oracle.
+Resistances are `fractions.Fraction` values (int pairs inside the reduction
+engine), in lowest terms with a positive denominator by construction.
+Floating point never enters except in the dedicated float oracle.
 """
 
 from __future__ import annotations
@@ -41,21 +41,17 @@ def _coprime_fraction(numerator: int, denominator: int) -> Fraction:
     return value
 
 
-def series_combine(a: Fraction | int, b: Fraction | int) -> Fraction:
-    """Resistance of two resistors in series (nonnegative inputs).
+def _add_pairs(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+    """Knuth's addition (TAOCP 2, 4.5.1) of two unchecked (numerator, denominator) pairs.
 
-    The same reduced Fraction as `a + b`, by Knuth's addition (TAOCP 2,
-    4.5.1) on the integers.  With the operands ordered so that da <= db,
-    the case where da divides db comes first: t = na*(db/da) + nb shares
-    no factor with db/da (gcd(nb, db) = 1), so one exact division of t by
-    da, or else one gcd(t, da), reduces the sum.  Chain sums take it: the
-    denominator of a partial sum of tails divides the next tail's.
-    Otherwise the two gcds of Knuth's general case run.
+    Both in lowest terms with positive denominators; so is the sum.  With
+    da <= db, when da divides db, t = na*(db/da) + nb shares no factor with
+    db/da (gcd(nb, db) = 1), so one exact division of t by da, or else one
+    gcd(t, da), reduces the sum; partial sums of chain tails take this case.
+    Otherwise the two gcds of the general case run.
     """
-    ra, rb = as_rational(a), as_rational(b)
-    na, da, nb, db = ra.numerator, ra.denominator, rb.numerator, rb.denominator
-    if na < 0 or nb < 0:
-        raise ValueError("series combination needs nonnegative resistances")
+    na, da = a
+    nb, db = b
     if da > db:
         na, da, nb, db = nb, db, na, da
     m, rest = divmod(db, da)
@@ -63,14 +59,26 @@ def series_combine(a: Fraction | int, b: Fraction | int) -> Fraction:
         t = na * m + nb
         q, rest = divmod(t, da)
         if not rest:
-            return _coprime_fraction(q, m)
+            return q, m
         g = gcd(t, da)
-        return _coprime_fraction(t // g, db // g)
+        return t // g, db // g
     g = gcd(da, db)
     s = da // g
     t = na * (db // g) + nb * s
     g = gcd(t, g)
-    return _coprime_fraction(t // g, s * (db // g))
+    return t // g, s * (db // g)
+
+
+def series_combine(a: Fraction | int, b: Fraction | int) -> Fraction:
+    """Resistance of two resistors in series (nonnegative inputs).
+
+    The same reduced Fraction as `a + b`, by `_add_pairs`, the integer
+    kernel the reduction engine adds with.
+    """
+    ra, rb = as_rational(a), as_rational(b)
+    if ra.numerator < 0 or rb.numerator < 0:
+        raise ValueError("series combination needs nonnegative resistances")
+    return _coprime_fraction(*_add_pairs((ra.numerator, ra.denominator), (rb.numerator, rb.denominator)))
 
 
 def parallel_combine(a: Fraction | int, b: Fraction | int) -> Fraction:

@@ -12,16 +12,16 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from functools import reduce
+from functools import cache
 from math import gcd
 from typing import Callable, NamedTuple, Optional
 
 from .graphs import GraphError, WeightedGraph, bent_2tree, straight_2tree
-from .rational import _coprime_fraction, as_rational, parallel_combine, ratio_string, series_combine
+from .rational import _add_pairs, _coprime_fraction, as_rational, parallel_combine, ratio_string, series_combine
 
 
-# The engine keeps its whole step log and its time grows faster than n^2, so
-# larger chains are refused before one is built.
+# The engine keeps its whole step log, as int tuples until it is read, and its
+# time grows faster than n^2, so larger chains are refused before one is built.
 ENGINE_VERTEX_GUARD = 10_000
 
 
@@ -54,13 +54,14 @@ def delta_y(
     return b * c / s, a * c / s, a * b / s
 
 
-def _chain_branches(a: Fraction, b: Fraction) -> tuple[Fraction, Fraction, Fraction]:
+def _chain_branches(a: tuple[int, int], b: tuple[int, int]) -> tuple[tuple[int, int], ...]:
     """`delta_y(a, b, 1)` for a transform of `apply_delta_y`, with a single gcd.
 
-    Only for the unit chains the engine builds, where the base c = 1
-    (checked by the caller).  In lowest terms a = p/q and b = r/u.  Put
-    both over a common denominator D as P = a*D and R = b*D, so that
-    S = P + R + D = (a + b + 1)*D; the branches are x = b/(a + b + 1) = R/S,
+    On int pairs in lowest terms, a = (p, q) and b = (r, u), giving the
+    pairs (x, y, t); only for the unit chains the engine builds, where the
+    base c = 1 (checked by the caller).  Put both over a common
+    denominator D as P = a*D and R = b*D, so that S = P + R + D =
+    (a + b + 1)*D; the branches are x = b/(a + b + 1) = R/S,
     y = P/S and t = a*b/(a + b + 1) = x*a.  On a unit chain q divides u, so
     D = u, P = p*(u/q) and R = r.  One gcd g = gcd(R, S) reduces x;
     y = P/S and t = (R/g * p)/(S/g * q) are already in lowest terms and are
@@ -94,19 +95,18 @@ def _chain_branches(a: Fraction, b: Fraction) -> tuple[Fraction, Fraction, Fract
     Both sides of a bent chain walk the same way from their terminals, so
     the same holds there.  The Fibonacci numbers appear only in this proof.
     """
-    p, q = a.numerator, a.denominator
-    d = b.denominator
+    p, q = a
+    big_r, d = b
     m, rest = divmod(d, q)
     if rest:
         raise ReductionError(
             f"chain invariant broken: denominator {q} of r_a does not divide denominator {d} of r_b"
         )
     big_p = p * m
-    big_r = b.numerator
     total = big_p + big_r + d
     g = gcd(big_r, total)
     r_g, s_g = big_r // g, total // g
-    return _coprime_fraction(r_g, s_g), _coprime_fraction(big_p, total), _coprime_fraction(r_g * p, s_g * q)
+    return (r_g, s_g), (big_p, total), (r_g * p, s_g * q)
 
 
 class TailTriple(namedtuple("TailTriple", ("j", "t", "s", "b"))):
@@ -156,13 +156,44 @@ class StepRecord(NamedTuple):
 
 Observer = Callable[["ReductionState", StepRecord], None]
 
+_UNIT = (1, 1)
+
+
+def _fraction(pair):
+    return _coprime_fraction(*pair)
+
+
+def _step_record(entry, fraction):
+    index, side, kind, nodes, inputs, outputs = entry
+    return StepRecord(index, side, kind, nodes, tuple(map(fraction, inputs)), tuple(map(fraction, outputs)))
+
+
+def _tail_triple(entry, fraction):
+    j, t, s, b = entry
+    return TailTriple(j, fraction(t), fraction(s), fraction(b))
+
+
+def _built(entries, build):
+    """Build the raw entries (plain tuples, always a suffix) into records, in place.
+
+    A branch recurs in later records, so a pass builds one `Fraction` per value.
+    """
+    start = len(entries)
+    while start and type(entries[start - 1]) is tuple:
+        start -= 1
+    fraction = cache(_fraction)
+    for i in range(start, len(entries)):
+        entries[i] = build(entries[i], fraction)
+    return entries
+
 
 class ReductionState:
     """Evolving circuit during a reduction run.
 
     Mutable only through the rewrite methods below; once the driver returns,
     treat the state as a read-only audit record.  Edge values are
-    resistances (the reciprocal of graph weights).
+    resistances (the reciprocal of graph weights) as int pairs in lowest
+    terms; `log` and the tail lists hold them in plain tuples until read.
     """
 
     def __init__(
@@ -174,19 +205,32 @@ class ReductionState:
     ):
         self.source = source
         self.sink = sink
-        self.left_tails: list[TailTriple] = []
-        self.right_tails: list[TailTriple] = []
-        self.log: list[StepRecord] = []
-        self._adj: dict[int, dict[int, Fraction]] = {v: {} for v in range(1, graph.n + 1)}
+        self._left_tails = []
+        self._right_tails = []
+        self._log = []
+        self._last_transform = None
+        self._adj = {v: {} for v in range(1, graph.n + 1)}
         for i, j, w in graph.edges:
             # A unit weight is its own resistance; the chain builders share one.
-            r = w if w == 1 else Fraction(w.denominator, w.numerator)
+            r = _UNIT if w == 1 else (w.denominator, w.numerator)
             self._adj[i][j] = r
             self._adj[j][i] = r
         self._next_label = graph.n
         self._observer = observer
 
     # -- inspection ---------------------------------------------------------
+
+    @property
+    def log(self) -> list[StepRecord]:
+        return _built(self._log, _step_record)
+
+    @property
+    def left_tails(self) -> list[TailTriple]:
+        return _built(self._left_tails, _tail_triple)
+
+    @property
+    def right_tails(self) -> list[TailTriple]:
+        return _built(self._right_tails, _tail_triple)
 
     @property
     def vertices(self) -> list[int]:
@@ -199,7 +243,7 @@ class ReductionState:
 
     def resistance_between(self, u: int, v: int) -> Fraction:
         try:
-            return self._adj[u][v]
+            return _fraction(self._adj[u][v])
         except KeyError:
             raise ReductionError(f"no resistor between {u} and {v}") from None
 
@@ -207,27 +251,29 @@ class ReductionState:
         """Snapshot as a WeightedGraph plus the old-label -> new-label map."""
         relabel = {old: new for new, old in enumerate(self.vertices, start=1)}
         edges = [
-            (relabel[u], relabel[v], Fraction(1) / r)
+            (relabel[u], relabel[v], _coprime_fraction(d, r))
             for u, nbrs in self._adj.items()
-            for v, r in nbrs.items()
+            for v, (r, d) in nbrs.items()
             if u < v
         ]
         return WeightedGraph(len(relabel), edges), relabel
 
     # -- elementary rewrites --------------------------------------------------
 
-    def _emit(self, side: str, kind: str, nodes, inputs, outputs) -> None:
-        record = StepRecord(len(self.log) + 1, side, kind, nodes, inputs, outputs)
-        self.log.append(record)
+    def _emit(self, side: str, kind: str, nodes, inputs, outputs) -> tuple:
+        log = self._log
+        entry = (len(log) + 1, side, kind, nodes, inputs, outputs)
+        log.append(entry)
         if self._observer is not None:
-            self._observer(self, record)
+            self._observer(self, self.log[-1])
+        return entry
 
-    def apply_delta_y(self, anchor: int, middle: int, far: int, side: str, j: int) -> tuple[int, TailTriple]:
+    def apply_delta_y(self, anchor: int, middle: int, far: int, side: str, j: int) -> tuple[int, tuple]:
         """Transform the triangle (anchor, middle, far) of a unit chain into a star.
 
         The base middle-far must have resistance 1, and the branches come
         from `_chain_branches`; a triangle off the chain raises
-        ReductionError.
+        ReductionError.  Returns the star and the raw tail (j, t, s, b).
         """
         adj = self._adj
         try:
@@ -235,9 +281,9 @@ class ReductionState:
             r_a, r_b, r_c = at_anchor[middle], at_anchor[far], at_middle[far]
         except KeyError:
             raise ReductionError(f"no resistor triangle on {anchor}, {middle}, {far}") from None
-        if r_c != 1:
+        if r_c != _UNIT:
             raise ReductionError(
-                f"chain invariant broken: edge {middle}-{far} has resistance {r_c}, expected 1"
+                f"chain invariant broken: edge {middle}-{far} has resistance {_fraction(r_c)}, expected 1"
             )
         r_1, r_2, r_3 = _chain_branches(r_a, r_b)
         del at_anchor[middle], at_anchor[far], at_middle[anchor], at_middle[far]
@@ -247,8 +293,10 @@ class ReductionState:
         at_anchor[star] = r_3
         at_middle[star] = r_2
         at_far[star] = r_1
-        self._emit(side, "delta_y", (anchor, middle, far, star), (r_a, r_b, r_c), (r_1, r_2, r_3))
-        return star, TailTriple(j=j, t=r_3, s=r_2, b=r_1)
+        self._last_transform = self._emit(
+            side, "delta_y", (anchor, middle, far, star), (r_a, r_b, r_c), (r_1, r_2, r_3)
+        )
+        return star, (j, r_3, r_2, r_1)
 
     def merge_series_at(self, v: int, side: str) -> tuple[int, int]:
         """Replace the two resistors through a degree-2 vertex by their sum.
@@ -265,12 +313,16 @@ class ReductionState:
         (u, r_u), (w, r_w) = at_v.items()
         if u > w:
             u, r_u, w, r_w = w, r_w, u, r_u
-        merged = series_combine(r_u, r_w)
+        merged = _add_pairs(r_u, r_w)
         del adj[v]
         at_u, at_w = adj[u], adj[w]
         del at_u[v], at_w[v]
         existing = at_u.get(w)
-        stored = merged if existing is None else parallel_combine(existing, merged)
+        if existing is None:
+            stored = merged
+        else:
+            combined = parallel_combine(_fraction(existing), _fraction(merged))
+            stored = (combined.numerator, combined.denominator)
         at_u[w] = at_w[u] = stored
         self._emit(side, "series", (u, v, w), (r_u, r_w), (merged,))
         if existing is not None:
@@ -306,28 +358,30 @@ def _run_side(
     steps: int,
     side: str,
     merge_last: bool,
-) -> int:
+) -> tuple[int, Fraction, TailTriple]:
     """Run `steps` transform(+merge) rounds from one chain end.
 
     Returns the label of the middle vertex of the last transform, which the
     caller either prunes (straight chains) or leaves for the final assembly
-    (bent chains).
+    (bent chains), the sum of the tails t in order, and the last tail.
     """
     nbrs = state.neighbors(terminal)
     if len(nbrs) != 2 or inward not in nbrs:
         raise ReductionError(f"terminal {terminal} does not start a reducible chain")
     (far,) = [v for v in nbrs if v != inward]
     anchor, middle = terminal, inward
-    tails = state.left_tails if side == "left" else state.right_tails
+    tails = state._left_tails if side == "left" else state._right_tails
+    total = None
     for j in range(1, steps + 1):
-        star, triple = state.apply_delta_y(anchor, middle, far, side, j)
-        tails.append(triple)
+        star, tail = state.apply_delta_y(anchor, middle, far, side, j)
+        tails.append(tail)
+        total = tail[1] if total is None else _add_pairs(total, tail[1])
         if j == steps and not merge_last:
             break
         u, w = state.merge_series_at(middle, side)
         anchor, middle, far = star, far, (w if u == star else u)
     _check_last_transform(state)
-    return middle
+    return middle, _fraction(total), _tail_triple(tail, _fraction)
 
 
 def _check_last_transform(state: ReductionState) -> None:
@@ -336,14 +390,9 @@ def _check_last_transform(state: ReductionState) -> None:
     The tail-bookkeeping check cannot see a wrong tail t, since both of its
     sides read the same t values; this one can, at O(1) big-integer work.
     """
-    record = next(r for r in reversed(state.log) if r.kind == "delta_y")
-    if record.outputs != delta_y(*record.inputs):
-        raise ReductionError(f"star transform {record.index} disagrees with delta_y")
-
-
-def _tail_total(tails: list[TailTriple]) -> Fraction:
-    """Sum of the tails t, in order, by `series_combine`."""
-    return reduce(series_combine, (tr.t for tr in tails))
+    index, _, _, _, inputs, outputs = state._last_transform
+    if tuple(map(_fraction, outputs)) != delta_y(*map(_fraction, inputs)):
+        raise ReductionError(f"star transform {index} disagrees with delta_y")
 
 
 def _collapse_to_single_edge(state: ReductionState, expected: Fraction) -> Fraction:
@@ -373,9 +422,11 @@ def reduce_straight_state(
     graph = straight_2tree(n)
     state = ReductionState(graph, source=1, sink=n, observer=observer)
     m = n - 2
-    last_middle = _run_side(state, terminal=1, inward=2, steps=m, side="left", merge_last=False)
+    last_middle, tail_sum, last = _run_side(
+        state, terminal=1, inward=2, steps=m, side="left", merge_last=False
+    )
     state.prune_leaf(last_middle, "left")
-    expected = series_combine(_tail_total(state.left_tails), state.left_tails[-1].b)
+    expected = series_combine(tail_sum, last.b)
     return _collapse_to_single_edge(state, expected), state
 
 
@@ -392,15 +443,12 @@ def reduce_bent(
     state = ReductionState(graph, source=1, sink=n, observer=observer)
     p = k - 2
     ell = n - k - 1
-    _run_side(state, terminal=1, inward=2, steps=p, side="left", merge_last=True)
-    _run_side(state, terminal=n, inward=n - 1, steps=ell, side="right", merge_last=False)
-    left_last = state.left_tails[-1]
-    right_last = state.right_tails[-1]
+    _, left_sum, left = _run_side(state, terminal=1, inward=2, steps=p, side="left", merge_last=True)
+    _, right_sum, right = _run_side(
+        state, terminal=n, inward=n - 1, steps=ell, side="right", merge_last=False
+    )
     expected = series_combine(
-        series_combine(
-            parallel_combine(left_last.b + right_last.s, left_last.s + right_last.b + 1),
-            _tail_total(state.left_tails),
-        ),
-        _tail_total(state.right_tails),
+        series_combine(parallel_combine(left.b + right.s, left.s + right.b + 1), left_sum),
+        right_sum,
     )
     return _collapse_to_single_edge(state, expected), state

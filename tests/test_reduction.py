@@ -127,9 +127,53 @@ def test_step_log_values_are_in_lowest_terms_straight_2000():
     _assert_log_in_lowest_terms(reduce_straight_state(2000)[1])
 
 
+def _plain_tails(steps):
+    """Referee: the tails of a unit chain, transform by transform, in plain Fraction arithmetic."""
+    a = b = Fraction(1)
+    tails = []
+    for j in range(1, steps + 1):
+        x, y, t = _delta_y_plain(a, b, Fraction(1))
+        tails.append(TailTriple(j, t, y, x))
+        a, b = x, y + 1
+    return tails
+
+
+def test_records_are_the_same_however_they_are_read():
+    # The engine keeps int tuples and builds records when they are read: for
+    # an observer as each step happens, otherwise on the first read.  This
+    # observer also reads the log and the tails mid-run, so they are built
+    # piece by piece while the engine keeps appending to them.  The log's
+    # values are checked in test_step_log_values_are_in_lowest_terms_small.
+    plain = _plain_tails(58)
+    runs = [(reduce_bent, (n, k), k - 2, n - k - 1) for n in range(6, 41) for k in range(3, n - 2)]
+    runs += [(reduce_straight_state, (n,), n - 2, 0) for n in range(3, 61)]
+    for run, args, left, right in runs:
+        received = []
+
+        def watch(state, record):
+            assert state.log[-1] is record and len(state.log) == record.index
+            assert len(state.left_tails) + len(state.right_tails) <= left + right
+            received.append(record)
+
+        watched_value, watched = run(*args, observer=watch)
+        value, state = run(*args)
+        assert value == watched_value
+        assert state.log == received
+        assert all(a is b for a, b in zip(watched.log, received, strict=True))
+        first = list(state.log)
+        assert all(a is b for a, b in zip(first, state.log, strict=True))
+        for audit in (state, watched):
+            assert audit.left_tails == plain[:left] and audit.right_tails == plain[:right]
+            assert audit.left_tails is audit.left_tails and audit.right_tails is audit.right_tails
+            for tail in audit.left_tails + audit.right_tails:
+                for q in tail[1:]:
+                    assert type(q) is Fraction and q.denominator > 0, (args, tail)
+                    assert gcd(q.numerator, q.denominator) == 1, (args, tail)
+
+
 def test_chain_transforms_run_one_gcd_each(monkeypatch):
     # Every gcd the chain path could run, its own and those inside Fraction
-    # arithmetic, is counted.
+    # arithmetic, is counted.  The transform works on int pairs.
     counts = {"gcd": 0}
     per_call = []
 
@@ -141,9 +185,11 @@ def test_chain_transforms_run_one_gcd_each(monkeypatch):
         return call
 
     def watched_chain(a, b):
+        assert all(type(v) is int for v in a + b), (a, b)
         before = counts["gcd"]
         branches = _chain_branches(a, b)
         per_call.append(counts["gcd"] - before)
+        assert all(type(v) is int for branch in branches for v in branch), branches
         return branches
 
     counted_gcd = counted("gcd", math.gcd)
@@ -165,33 +211,36 @@ def test_chain_transforms_run_one_gcd_each(monkeypatch):
 
 
 def test_chain_sums_run_a_bounded_number_of_gcds(monkeypatch):
-    # Every gcd a series addition could run, its own and those inside
-    # Fraction arithmetic, is counted.  The partial sums of a chain take the
-    # divisor case of `series_combine`; what is left is O(1) per run: on a
-    # straight chain the last addition, tails plus b, once in the collapse
-    # and once in the bookkeeping: both denominators are equal and do not
-    # divide the numerator of the sum, so gcd(t, da) must run.
+    # Every gcd an addition could run, its own and those inside Fraction
+    # arithmetic, is counted.  The engine adds int pairs by `_add_pairs`,
+    # which `series_combine` wraps, so both reach the counted addition.  The
+    # partial sums of a chain take its divisor case; what is left is O(1) per
+    # run: on a straight chain the last addition, tails plus b, once in the
+    # collapse and once in the bookkeeping: both denominators are equal and
+    # do not divide the numerator of the sum, so gcd(t, da) must run.
     counts = {"gcd": 0}
     per_call = []
-    real_gcd, real_series = math.gcd, reduction.series_combine
+    real_gcd, real_add = math.gcd, rational._add_pairs
 
     def counted_gcd(*args):
         counts["gcd"] += 1
         return real_gcd(*args)
 
-    def watched_series(a, b):
+    def watched_add(a, b):
+        assert all(type(v) is int for v in a + b), (a, b)
         before = counts["gcd"]
-        value = real_series(a, b)
+        value = real_add(a, b)
         per_call.append(counts["gcd"] - before)
         return value
 
     monkeypatch.setattr(math, "gcd", counted_gcd)
     monkeypatch.setattr(rational, "gcd", counted_gcd)
-    monkeypatch.setattr(reduction, "series_combine", watched_series)
+    monkeypatch.setattr(rational, "_add_pairs", watched_add)
+    monkeypatch.setattr(reduction, "_add_pairs", watched_add)
     for run, most in ((lambda: reduce_straight_state(200), 2), (lambda: reduce_bent(200, 77), 4)):
         _, state = run()
         assert 0 < sum(per_call) <= most
-        # Every tail goes through `series_combine` once more, in the
+        # Every tail goes through the addition once more, in the
         # bookkeeping: the first tail starts the sum, and the last b (a
         # straight chain) or the parallel pair (a bent one) joins it.
         merges = sum(record.kind == "series" for record in state.log)
@@ -205,8 +254,8 @@ def test_a_wrong_tail_is_refused(monkeypatch, capsys):
     real = reduction._chain_branches
 
     def inverted(a, b):
-        x, y, t = real(a, b)
-        return x, y, Fraction(t.denominator, t.numerator)
+        x, y, (t_num, t_den) = real(a, b)
+        return x, y, (t_den, t_num)
 
     monkeypatch.setattr(reduction, "_chain_branches", inverted)
     with pytest.raises(ReductionError, match="disagrees with delta_y"):
@@ -230,7 +279,7 @@ def test_chain_branches_fall_back_off_the_chain(a, b):
     # No triangle of a unit chain gets here, so the chain path refuses it
     # instead of falling back to the general `delta_y`.
     with pytest.raises(ReductionError, match="^chain invariant broken: denominator"):
-        _chain_branches(a, b)
+        _chain_branches((a.numerator, a.denominator), (b.numerator, b.denominator))
     _assert_matches_referee((a, b, Fraction(1)), delta_y(a, b, 1))
 
 
