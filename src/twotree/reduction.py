@@ -163,37 +163,14 @@ def _fraction(pair):
     return _coprime_fraction(*pair)
 
 
-def _step_record(entry, fraction):
-    index, side, kind, nodes, inputs, outputs = entry
-    return StepRecord(index, side, kind, nodes, tuple(map(fraction, inputs)), tuple(map(fraction, outputs)))
-
-
-def _tail_triple(entry, fraction):
-    j, t, s, b = entry
-    return TailTriple(j, fraction(t), fraction(s), fraction(b))
-
-
-def _built(entries, build):
-    """Build the raw entries (plain tuples, always a suffix) into records, in place.
-
-    A branch recurs in later records, so a pass builds one `Fraction` per value.
-    """
-    start = len(entries)
-    while start and type(entries[start - 1]) is tuple:
-        start -= 1
-    fraction = cache(_fraction)
-    for i in range(start, len(entries)):
-        entries[i] = build(entries[i], fraction)
-    return entries
-
-
 class ReductionState:
     """Evolving circuit during a reduction run.
 
     Mutable only through the rewrite methods below; once the driver returns,
     treat the state as a read-only audit record.  Edge values are
     resistances (the reciprocal of graph weights) as int pairs in lowest
-    terms; `log` and the tail lists hold them in plain tuples until read.
+    terms.  The step log is the only record of the rewrites: it holds plain
+    tuples until read, and the tail lists are views of its star transforms.
     """
 
     def __init__(
@@ -205,10 +182,7 @@ class ReductionState:
     ):
         self.source = source
         self.sink = sink
-        self._left_tails = []
-        self._right_tails = []
         self._log = []
-        self._last_transform = None
         self._adj = {v: {} for v in range(1, graph.n + 1)}
         for i, j, w in graph.edges:
             # A unit weight is its own resistance; the chain builders share one.
@@ -222,15 +196,32 @@ class ReductionState:
 
     @property
     def log(self) -> list[StepRecord]:
-        return _built(self._log, _step_record)
+        """The step log; its raw entries (plain tuples, always a suffix) become records in place.
+
+        A branch recurs in later records, so a pass builds one `Fraction` per value.
+        """
+        log = self._log
+        start = len(log)
+        while start and type(log[start - 1]) is tuple:
+            start -= 1
+        fraction = cache(_fraction)
+        for i in range(start, len(log)):
+            index, side, kind, nodes, inputs, outputs = log[i]
+            log[i] = StepRecord(index, side, kind, nodes, tuple(map(fraction, inputs)), tuple(map(fraction, outputs)))
+        return log
+
+    def _tails(self, side: str) -> list[TailTriple]:
+        # Tail j is the side's j-th star transform, whose outputs are (b, s, t).
+        transforms = (record for record in self.log if record.kind == "delta_y" and record.side == side)
+        return [TailTriple(j, *reversed(record.outputs)) for j, record in enumerate(transforms, start=1)]
 
     @property
     def left_tails(self) -> list[TailTriple]:
-        return _built(self._left_tails, _tail_triple)
+        return self._tails("left")
 
     @property
     def right_tails(self) -> list[TailTriple]:
-        return _built(self._right_tails, _tail_triple)
+        return self._tails("right")
 
     @property
     def vertices(self) -> list[int]:
@@ -268,12 +259,13 @@ class ReductionState:
             self._observer(self, self.log[-1])
         return entry
 
-    def apply_delta_y(self, anchor: int, middle: int, far: int, side: str, j: int) -> tuple[int, tuple]:
+    def apply_delta_y(self, anchor: int, middle: int, far: int, side: str) -> tuple[int, tuple]:
         """Transform the triangle (anchor, middle, far) of a unit chain into a star.
 
         The base middle-far must have resistance 1, and the branches come
         from `_chain_branches`; a triangle off the chain raises
-        ReductionError.  Returns the star and the raw tail (j, t, s, b).
+        ReductionError.  Returns the star and the raw log entry, whose
+        outputs are the int pairs (b, s, t) of the tail.
         """
         adj = self._adj
         try:
@@ -293,10 +285,7 @@ class ReductionState:
         at_anchor[star] = r_3
         at_middle[star] = r_2
         at_far[star] = r_1
-        self._last_transform = self._emit(
-            side, "delta_y", (anchor, middle, far, star), (r_a, r_b, r_c), (r_1, r_2, r_3)
-        )
-        return star, (j, r_3, r_2, r_1)
+        return star, self._emit(side, "delta_y", (anchor, middle, far, star), (r_a, r_b, r_c), (r_1, r_2, r_3))
 
     def merge_series_at(self, v: int, side: str) -> tuple[int, int]:
         """Replace the two resistors through a degree-2 vertex by their sum.
@@ -343,8 +332,8 @@ class ReductionState:
 def reduce_straight_chain(steps: int) -> list[TailTriple]:
     """Tail triples of `steps` transform-merge rounds on a unit straight chain.
 
-    These are the left tails the engine records when it reduces the straight
-    chain on steps + 2 vertices.
+    These are the left tails read off the step log of the engine's
+    reduction of the straight chain on steps + 2 vertices.
     """
     if steps < 1:
         raise ReductionError("at least one reduction step is required")
@@ -370,29 +359,23 @@ def _run_side(
         raise ReductionError(f"terminal {terminal} does not start a reducible chain")
     (far,) = [v for v in nbrs if v != inward]
     anchor, middle = terminal, inward
-    tails = state._left_tails if side == "left" else state._right_tails
     total = None
     for j in range(1, steps + 1):
-        star, tail = state.apply_delta_y(anchor, middle, far, side, j)
-        tails.append(tail)
-        total = tail[1] if total is None else _add_pairs(total, tail[1])
+        star, entry = state.apply_delta_y(anchor, middle, far, side)
+        t = entry[5][2]  # the outputs are (b, s, t)
+        total = t if total is None else _add_pairs(total, t)
         if j == steps and not merge_last:
             break
         u, w = state.merge_series_at(middle, side)
         anchor, middle, far = star, far, (w if u == star else u)
-    _check_last_transform(state)
-    return middle, _fraction(total), _tail_triple(tail, _fraction)
-
-
-def _check_last_transform(state: ReductionState) -> None:
-    """Check the latest star transform against the textbook `delta_y`.
-
-    The tail-bookkeeping check cannot see a wrong tail t, since both of its
-    sides read the same t values; this one can, at O(1) big-integer work.
-    """
-    index, _, _, _, inputs, outputs = state._last_transform
-    if tuple(map(_fraction, outputs)) != delta_y(*map(_fraction, inputs)):
+    # The tail-bookkeeping check cannot see a wrong tail t, since both of its
+    # sides read the same t values; checking the side's last transform
+    # against the textbook `delta_y` can, at O(1) big-integer work.
+    index, _, _, _, inputs, outputs = entry
+    b, s, t = map(_fraction, outputs)
+    if (b, s, t) != delta_y(*map(_fraction, inputs)):
         raise ReductionError(f"star transform {index} disagrees with delta_y")
+    return middle, _fraction(total), TailTriple(steps, t, s, b)
 
 
 def _collapse_to_single_edge(state: ReductionState, expected: Fraction) -> Fraction:

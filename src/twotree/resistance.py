@@ -101,13 +101,13 @@ def resistance_exact(g: WeightedGraph, i: int, j: int, *, ground: int | None = N
     (the default grounds j).  Returns 0 for i == j without solving.
     """
     _check_query(g, i, j)
+    w = j if ground is None else ground
+    if not 1 <= w <= g.n:
+        raise GraphError(f"ground vertex {w} out of range 1..{g.n}")
     if i == j:
         return Fraction(0)
     if not g.is_connected():
         raise GraphError("resistance is undefined on a disconnected graph")
-    w = j if ground is None else ground
-    if not 1 <= w <= g.n:
-        raise GraphError(f"ground vertex {w} out of range 1..{g.n}")
 
     scale = lcm(*(wt.denominator for _, _, wt in g.edges))
     # Grounding w: its row and column become the identity's, so vertex v

@@ -164,7 +164,13 @@ def test_records_are_the_same_however_they_are_read():
         assert all(a is b for a, b in zip(first, state.log, strict=True))
         for audit in (state, watched):
             assert audit.left_tails == plain[:left] and audit.right_tails == plain[:right]
-            assert audit.left_tails is audit.left_tails and audit.right_tails is audit.right_tails
+            assert audit.left_tails == audit.left_tails and audit.right_tails == audit.right_tails
+            # The tails are views of the log: each tail's b, s, t are the very
+            # values of its side's j-th star transform record.
+            for side, tails in (("left", audit.left_tails), ("right", audit.right_tails)):
+                transforms = [r for r in audit.log if r.kind == "delta_y" and r.side == side]
+                for tail, record in zip(tails, transforms, strict=True):
+                    assert all(a is b for a, b in zip((tail.b, tail.s, tail.t), record.outputs, strict=True))
             for tail in audit.left_tails + audit.right_tails:
                 for q in tail[1:]:
                     assert type(q) is Fraction and q.denominator > 0, (args, tail)
@@ -206,7 +212,7 @@ def test_chain_transforms_run_one_gcd_each(monkeypatch):
         per_call.clear()
     # The public transform is the chain transform.
     state = ReductionState(straight_2tree(4), source=1, sink=4)
-    state.apply_delta_y(1, 2, 3, "left", 1)
+    state.apply_delta_y(1, 2, 3, "left")
     assert per_call == [1]
 
 
@@ -477,6 +483,18 @@ def test_final_collapse_refuses_a_circuit_that_is_not_a_chain(edges):
     state = ReductionState(g, source=1, sink=4)
     with pytest.raises(ReductionError, match="series merge needs degree 2"):
         _collapse_to_single_edge(state, resistance_exact(g, 1, 4))
+
+
+def test_state_holds_the_reciprocal_of_each_weight():
+    # A weight w is a resistance 1/w: the path 1-2-3 with weights 2 and 1/3
+    # has resistances 1/2 and 3 in series.
+    edges = ((1, 2, Fraction(2)), (2, 3, Fraction(1, 3)))
+    state = ReductionState(WeightedGraph(3, edges), source=1, sink=3)
+    assert state.resistance_between(1, 2) == Fraction(1, 2)
+    assert state.resistance_between(2, 3) == 3
+    graph, relabel = state.as_weighted_graph()
+    assert graph.edges == edges and relabel == {1: 1, 2: 2, 3: 3}
+    assert _collapse_to_single_edge(state, Fraction(7, 2)) == Fraction(7, 2)
 
 
 def test_final_collapse_checks_the_tail_bookkeeping():

@@ -88,6 +88,11 @@ def test_disconnected_rejected():
 def test_out_of_range_rejected():
     with pytest.raises(GraphError):
         resistance_exact(straight_2tree(4), 0, 3)
+    # The ground is checked before the i == j shortcut too.
+    for i, j in [(1, 2), (1, 1)]:
+        for ground in (0, 6):
+            with pytest.raises(GraphError, match=f"ground vertex {ground} out of range"):
+                resistance_exact(straight_2tree(5), i, j, ground=ground)
 
 
 def test_agrees_with_plain_gaussian_elimination():
