@@ -75,7 +75,7 @@ class _Route:
 def _engine_cost(n: int, k: int) -> int:
     # The engine reduces about k triangles from one end of a bent chain and
     # n - k from the other (a straight chain: k = n, all from one end), at
-    # about 7 us a vertex (a transform, a merge, their int-tuple log entries)
+    # about 7 us a vertex (a transform and a merge; these routes keep no log)
     # up to a few hundred vertices.  Past a few thousand the big-integer work
     # of a side grows as the cube of its length, so an edge bend costs as
     # much as a straight chain and about three times a centred one.  The
@@ -123,7 +123,7 @@ _ROUTES = {
         lambda n, k, i, j, g: bent_resistance_product(BentParams(n, k)),
         None, lambda n, k: _closed_form_cost(n), False, False, 0, False),
     ("bent", "engine"): _Route(
-        lambda n, k, i, j, g: reduce_bent(n, k)[0],
+        lambda n, k, i, j, g: reduce_bent(n, k, keep_log=False)[0],
         check_engine_size, lambda n, k: _engine_cost(n, k), True, True, 0, False),
     ("bent", "exact"): _Route(
         lambda n, k, i, j, g: resistance_exact(g, i, j),
@@ -135,7 +135,7 @@ _ROUTES = {
         lambda n, k, i, j, g: straight_pair_resistance(n - 2, i, j - i),
         None, lambda n, k: _closed_form_cost(n), False, True, math.inf, False),
     ("straight", "engine"): _Route(
-        lambda n, k, i, j, g: reduce_straight_state(n)[0],
+        lambda n, k, i, j, g: reduce_straight_state(n, keep_log=False)[0],
         check_engine_size, lambda n, k: _engine_cost(n, n), True, True, 0, False),
     ("straight", "exact"): _Route(
         lambda n, k, i, j, g: resistance_exact(g, i, j),

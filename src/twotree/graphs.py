@@ -50,6 +50,15 @@ class WeightedGraph:
             (a, b, weights[a, b]) for a, b in sorted(weights)
         )
 
+    @classmethod
+    def _trusted(cls, n: int, edges: tuple[tuple[int, int, Fraction], ...]) -> "WeightedGraph":
+        # For the chain builders only: their edges are in range, distinct,
+        # positive and sorted by construction, so none of it is checked again.
+        graph = cls.__new__(cls)
+        graph.n = n
+        graph.edges = edges
+        return graph
+
     # -- inspection -------------------------------------------------------
 
     @property
@@ -140,17 +149,18 @@ class WeightedGraph:
         return f"WeightedGraph(n={self.n}, edges={self.edge_count})"
 
 
+def _chain_edges(n: int) -> list[tuple[int, int, Fraction]]:
+    # The pairs (i, i+1) and (i, i+2) in sorted order, all of unit weight.
+    edges = [(i, j, _UNIT) for i in range(1, n - 1) for j in (i + 1, i + 2)]
+    edges.append((n - 1, n, _UNIT))
+    return edges
+
+
 def straight_2tree(n: int) -> WeightedGraph:
     """Unit-weight graph on 1..n with an edge whenever 0 < |i-j| <= 2."""
     if n < 3:
         raise GraphError("a straight linear 2-tree needs n >= 3")
-    edges = [
-        (i, j, _UNIT)
-        for i in range(1, n + 1)
-        for j in (i + 1, i + 2)
-        if j <= n
-    ]
-    return WeightedGraph(n, edges)
+    return WeightedGraph._trusted(n, tuple(_chain_edges(n)))
 
 
 def bent_2tree(n: int, k: int) -> WeightedGraph:
@@ -162,11 +172,10 @@ def bent_2tree(n: int, k: int) -> WeightedGraph:
         raise GraphError("a bent linear 2-tree needs n >= 6")
     if not 3 <= k <= n - 3:
         raise GraphError(f"bend vertex must satisfy 3 <= k <= n-3, got k={k} for n={n}")
-    edges = [
-        (i, j, _UNIT)
-        for i in range(1, n + 1)
-        for j in (i + 1, i + 2)
-        if j <= n and (i, j) != (k + 1, k + 3)
-    ]
-    edges.append((k, k + 3, _UNIT))
-    return WeightedGraph(n, edges)
+    edges = _chain_edges(n)
+    # Positions 2k-2..2k+1 hold (k, k+1), (k, k+2), (k+1, k+2), (k+1, k+3):
+    # the bend edge (k, k+3) takes position 2k, and (k+1, k+2) moves up over
+    # the dropped (k+1, k+3).
+    edges[2 * k + 1] = (k + 1, k + 2, _UNIT)
+    edges[2 * k] = (k, k + 3, _UNIT)
+    return WeightedGraph._trusted(n, tuple(edges))

@@ -4,8 +4,8 @@ The reduction walks a 2-tree chain from its ends: transform the frontier
 triangle to a star, merge the star's middle branch in series with the next
 chain edge, rename, repeat.  Every elementary rewrite (star transform,
 series merge, parallel merge, leaf prune) preserves the terminal-to-terminal
-resistance, is appended to an ordered step log, and can be observed from the
-outside for auditing.
+resistance, is appended to an ordered step log unless the run keeps none,
+and can be observed from the outside for auditing.
 """
 
 from __future__ import annotations
@@ -20,8 +20,9 @@ from .graphs import GraphError, WeightedGraph, bent_2tree, straight_2tree
 from .rational import _add_pairs, _coprime_fraction, as_rational, parallel_combine, ratio_string, series_combine
 
 
-# The engine keeps its whole step log, as int tuples until it is read, and its
-# time grows faster than n^2, so larger chains are refused before one is built.
+# The engine's time grows faster than n^2, and a run that keeps its step log
+# (`reduce`, observers, library calls) holds every rewrite as int tuples until
+# it is read, so larger chains are refused before one is built.
 ENGINE_VERTEX_GUARD = 10_000
 
 
@@ -159,6 +160,11 @@ Observer = Callable[["ReductionState", StepRecord], None]
 _UNIT = (1, 1)
 
 
+def _check_log_request(observer: Optional[Observer], keep_log: bool) -> None:
+    if observer is not None and not keep_log:
+        raise ValueError("an observer is handed each log record, so it needs keep_log=True")
+
+
 def _fraction(pair):
     return _coprime_fraction(*pair)
 
@@ -171,6 +177,8 @@ class ReductionState:
     resistances (the reciprocal of graph weights) as int pairs in lowest
     terms.  The step log is the only record of the rewrites: it holds plain
     tuples until read, and the tail lists are views of its star transforms.
+    With keep_log=False no rewrite is recorded, so the log and both tail
+    lists stay empty; an observer reads the log, so it needs keep_log=True.
     """
 
     def __init__(
@@ -179,10 +187,14 @@ class ReductionState:
         source: int,
         sink: int,
         observer: Optional[Observer] = None,
+        keep_log: bool = True,
     ):
+        _check_log_request(observer, keep_log)
         self.source = source
         self.sink = sink
         self._log = []
+        self._keep_log = keep_log
+        self._steps = 0
         self._adj = {v: {} for v in range(1, graph.n + 1)}
         for i, j, w in graph.edges:
             # A unit weight is its own resistance; the chain builders share one.
@@ -199,6 +211,7 @@ class ReductionState:
         """The step log; its raw entries (plain tuples, always a suffix) become records in place.
 
         A branch recurs in later records, so a pass builds one `Fraction` per value.
+        Empty when the state keeps no log.
         """
         log = self._log
         start = len(log)
@@ -217,10 +230,12 @@ class ReductionState:
 
     @property
     def left_tails(self) -> list[TailTriple]:
+        """The left side's tails, read off the log; empty when the state keeps no log."""
         return self._tails("left")
 
     @property
     def right_tails(self) -> list[TailTriple]:
+        """The right side's tails, read off the log; empty when the state keeps no log."""
         return self._tails("right")
 
     @property
@@ -252,11 +267,12 @@ class ReductionState:
     # -- elementary rewrites --------------------------------------------------
 
     def _emit(self, side: str, kind: str, nodes, inputs, outputs) -> tuple:
-        log = self._log
-        entry = (len(log) + 1, side, kind, nodes, inputs, outputs)
-        log.append(entry)
-        if self._observer is not None:
-            self._observer(self, self.log[-1])
+        self._steps = index = self._steps + 1
+        entry = (index, side, kind, nodes, inputs, outputs)
+        if self._keep_log:
+            self._log.append(entry)
+            if self._observer is not None:
+                self._observer(self, self.log[-1])
         return entry
 
     def apply_delta_y(self, anchor: int, middle: int, far: int, side: str) -> tuple[int, tuple]:
@@ -313,9 +329,12 @@ class ReductionState:
             combined = parallel_combine(_fraction(existing), _fraction(merged))
             stored = (combined.numerator, combined.denominator)
         at_u[w] = at_w[u] = stored
-        self._emit(side, "series", (u, v, w), (r_u, r_w), (merged,))
-        if existing is not None:
-            self._emit(side, "parallel", (u, w), (existing, merged), (stored,))
+        if self._keep_log:
+            self._emit(side, "series", (u, v, w), (r_u, r_w), (merged,))
+            if existing is not None:
+                self._emit(side, "parallel", (u, w), (existing, merged), (stored,))
+        else:
+            self._steps += 1 if existing is None else 2  # the entries a kept log would take
         return u, w
 
     def prune_leaf(self, v: int, side: str) -> None:
@@ -398,12 +417,17 @@ def _collapse_to_single_edge(state: ReductionState, expected: Fraction) -> Fract
 
 
 def reduce_straight_state(
-    n: int, observer: Optional[Observer] = None
+    n: int, observer: Optional[Observer] = None, keep_log: bool = True
 ) -> tuple[Fraction, ReductionState]:
-    """Full end-to-end reduction of the straight family, with audit state."""
+    """Full end-to-end reduction of the straight family, with audit state.
+
+    With keep_log=False the state records no rewrite (see ReductionState);
+    every check still runs.
+    """
+    _check_log_request(observer, keep_log)
     check_engine_size(n)
     graph = straight_2tree(n)
-    state = ReductionState(graph, source=1, sink=n, observer=observer)
+    state = ReductionState(graph, source=1, sink=n, observer=observer, keep_log=keep_log)
     m = n - 2
     last_middle, tail_sum, last = _run_side(
         state, terminal=1, inward=2, steps=m, side="left", merge_last=False
@@ -414,16 +438,19 @@ def reduce_straight_state(
 
 
 def reduce_bent(
-    n: int, k: int, observer: Optional[Observer] = None
+    n: int, k: int, observer: Optional[Observer] = None, keep_log: bool = True
 ) -> tuple[Fraction, ReductionState]:
     """Resistance between 1 and n of the bent 2-tree, plus the audit state.
 
     Reduces k-2 triangles from the left, then n-k-1 from the right, then
     combines the remaining parallel pair and the two tail chains.
+    With keep_log=False the state records no rewrite (see ReductionState);
+    every check still runs.
     """
+    _check_log_request(observer, keep_log)
     check_engine_size(n)
     graph = bent_2tree(n, k)
-    state = ReductionState(graph, source=1, sink=n, observer=observer)
+    state = ReductionState(graph, source=1, sink=n, observer=observer, keep_log=keep_log)
     p = k - 2
     ell = n - k - 1
     _, left_sum, left = _run_side(state, terminal=1, inward=2, steps=p, side="left", merge_last=True)

@@ -553,7 +553,7 @@ def test_bad_digits_are_refused_before_any_record(capsys, monkeypatch):
     ],
 )
 def test_disagreeing_routes_exit_1(capsys, monkeypatch, argv):
-    monkeypatch.setattr("twotree.cli.reduce_bent", lambda n, k: (Fraction(1), None))
+    monkeypatch.setattr("twotree.cli.reduce_bent", lambda n, k, keep_log=True: (Fraction(1), None))
     code, out, err = run_cli(capsys, *argv, "--format", "json")
     assert code == 1
     records = [json.loads(line) for line in out.strip().splitlines()]
@@ -571,7 +571,7 @@ def test_disagreeing_routes_exit_1(capsys, monkeypatch, argv):
     ],
 )
 def test_engine_invariant_failure_exits_1(capsys, monkeypatch, argv):
-    def broken(n, k):
+    def broken(n, k, keep_log=True):
         raise ReductionError("tail bookkeeping disagrees with the collapsed circuit")
 
     monkeypatch.setattr("twotree.cli.reduce_bent", broken)
@@ -579,6 +579,33 @@ def test_engine_invariant_failure_exits_1(capsys, monkeypatch, argv):
     assert code == 1
     assert out == ""
     assert "tail bookkeeping disagrees" in err
+
+
+def test_only_reduce_keeps_the_engine_log(capsys, monkeypatch):
+    # `resistance` and `sweep` read only the engine's value; `reduce` prints its log.
+    calls = []
+
+    def spy(name, real):
+        def call(*args, **kwargs):
+            calls.append((name, kwargs.get("keep_log", True)))
+            return real(*args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(cli, "reduce_bent", spy("bent", cli.reduce_bent))
+    monkeypatch.setattr(cli, "reduce_straight_state", spy("straight", cli.reduce_straight_state))
+    for argv, expected in (
+        (("resistance", "bent", "--n", "8", "--k", "4", "--methods", "engine"), [("bent", False)]),
+        (("sweep", "bent", "--n", "6:7", "--methods", "engine"), [("bent", False)] * 3),
+        (("resistance", "straight", "--n", "8", "--methods", "engine"), [("straight", False)]),
+        (("sweep", "straight", "--n", "3:4", "--methods", "all"), [("straight", False)] * 2),
+        (("reduce", "bent", "8", "4", "--emit-log"), [("bent", True)]),
+        (("reduce", "straight", "8", "--emit-log"), [("straight", True)]),
+    ):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and out
+        assert calls == expected, argv
+        calls.clear()
 
 
 @pytest.mark.parametrize(

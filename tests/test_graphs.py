@@ -117,6 +117,19 @@ def test_bent_rejects_bad_parameters():
         bent_2tree(5, 3)
 
 
+def test_chain_builders_match_the_checked_constructor():
+    # The builders skip the constructor's checks and its sort; the checked
+    # path must give back the very same edges, in order and with the same
+    # weight objects.
+    for n in range(3, 61):
+        chains = [straight_2tree(n)] + [bent_2tree(n, k) for k in range(3, n - 2)]
+        for g in chains:
+            checked = WeightedGraph(n, list(g.edges))
+            assert g.n == checked.n and g.edges == checked.edges
+            assert all(a[2] is b[2] for a, b in zip(g.edges, checked.edges, strict=True))
+            assert g == checked and hash(g) == hash(checked)
+
+
 def test_constructor_validations():
     with pytest.raises(GraphError):
         WeightedGraph(3, [(1, 1, 1)])

@@ -1,6 +1,7 @@
 """The triangle-to-star reduction engine and its bookkeeping."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 from math import gcd
 
@@ -177,6 +178,46 @@ def test_records_are_the_same_however_they_are_read():
                     assert gcd(q.numerator, q.denominator) == 1, (args, tail)
 
 
+def test_a_run_without_its_log_gives_the_same_value():
+    runs = [(reduce_bent, (n, k)) for n in range(6, 41) for k in range(3, n - 2)]
+    runs += [(reduce_straight_state, (n,)) for n in range(3, 61)]
+    for run, args in runs:
+        value, state = run(*args, keep_log=False)
+        assert value == run(*args)[0], args
+        assert state.log == [] and state.left_tails == [] and state.right_tails == [], args
+
+
+def test_a_run_without_its_log_holds_little_memory():
+    # The step log is nearly all a finished run holds: several MB at this
+    # size, while the circuit is down to one resistor.
+    held = {}
+    for keep_log in (True, False):
+        tracemalloc.start()
+        try:
+            result = reduce_bent(1500, 750, keep_log=keep_log)
+            held[keep_log] = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        del result
+    assert held[True] > 2_000_000
+    assert held[False] < 1_000_000
+
+
+def test_an_observer_needs_the_log(monkeypatch):
+    def never(*args):
+        pytest.fail("work started for an observer without a log")
+
+    monkeypatch.setattr(reduction, "bent_2tree", never)
+    monkeypatch.setattr(reduction, "straight_2tree", never)
+    for call in (
+        lambda: reduce_bent(8, 4, observer=print, keep_log=False),
+        lambda: reduce_straight_state(8, observer=print, keep_log=False),
+        lambda: ReductionState(WeightedGraph(3, [(1, 2, 1), (2, 3, 1)]), 1, 3, observer=print, keep_log=False),
+    ):
+        with pytest.raises(ValueError, match="keep_log=True"):
+            call()
+
+
 def test_chain_transforms_run_one_gcd_each(monkeypatch):
     # Every gcd the chain path could run, its own and those inside Fraction
     # arithmetic, is counted.  The transform works on int pairs.
@@ -264,10 +305,14 @@ def test_a_wrong_tail_is_refused(monkeypatch, capsys):
         return x, y, (t_den, t_num)
 
     monkeypatch.setattr(reduction, "_chain_branches", inverted)
-    with pytest.raises(ReductionError, match="disagrees with delta_y"):
-        reduce_bent(40, 17)
-    with pytest.raises(ReductionError, match="disagrees with delta_y"):
-        reduce_straight_state(40)
+    for run, args in ((reduce_bent, (40, 17)), (reduce_straight_state, (40,))):
+        # A run without its log is refused the same way, at the same step index.
+        messages = []
+        for keep_log in (True, False):
+            with pytest.raises(ReductionError, match="disagrees with delta_y") as caught:
+                run(*args, keep_log=keep_log)
+            messages.append(str(caught.value))
+        assert messages[0] == messages[1]
     assert cli.main(["reduce", "bent", "40", "17"]) == 1
     out, err = capsys.readouterr()
     assert out == "" and "disagrees with delta_y" in err
