@@ -75,10 +75,11 @@ class _Route:
 def _engine_cost(n: int, k: int) -> int:
     # The engine reduces about k triangles from one end of a bent chain and
     # n - k from the other (a straight chain: k = n, all from one end), at
-    # about 7 us a vertex (a transform and a merge; these routes keep no log)
-    # up to a few hundred vertices.  Past a few thousand the big-integer work
-    # of a side grows as the cube of its length, so an edge bend costs as
-    # much as a straight chain and about three times a centred one.  The
+    # about 5 us a vertex (a transform, a merge and the series merge of the
+    # final pass that adds its tail; these routes keep no log) up to a few
+    # hundred vertices.  Past a few thousand the big-integer work of a side
+    # grows as the cube of its length, so an edge bend costs as much as a
+    # straight chain and about three times a centred one.  The
     # coefficients, fitted at 15 us a vertex, stay above the slowest of
     # centre, edge and straight runs at n = 6 to 3000, and at 10,000.
     return 200_000 + 40_000 * n + 40 * n * n + (k**3 + (n - k) ** 3) // 80
@@ -423,7 +424,10 @@ def _cmd_reduce(args, out) -> int:
         n = graph.n
     else:
         family, n, k = args.what, args.n, getattr(args, "k", None)
-    value, state = reduce_straight_state(n) if family == "straight" else reduce_bent(n, k)
+    if family == "straight":
+        value, state = reduce_straight_state(n, keep_log=args.emit_log)
+    else:
+        value, state = reduce_bent(n, k, keep_log=args.emit_log)
     record = _record_from_values("reduce", family, n, k, 1, n, {"engine": value}, args.digits)
     emit_records([record], args.format, out)
     if args.emit_log:

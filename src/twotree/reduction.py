@@ -5,7 +5,11 @@ triangle to a star, merge the star's middle branch in series with the next
 chain edge, rename, repeat.  Every elementary rewrite (star transform,
 series merge, parallel merge, leaf prune) preserves the terminal-to-terminal
 resistance, is appended to an ordered step log unless the run keeps none,
-and can be observed from the outside for auditing.
+and can be observed from the outside for auditing.  A final pass of series
+merges collapses what is left and sums the tails, once; the tail
+bookkeeping checks that each side's chain holds exactly that side's tails
+and that the collapsed value is the two side sums joined with the middle
+the paper's formula gives.
 """
 
 from __future__ import annotations
@@ -21,8 +25,8 @@ from .rational import _add_pairs, _coprime_fraction, as_rational, parallel_combi
 
 
 # The engine's time grows faster than n^2, and a run that keeps its step log
-# (`reduce`, observers, library calls) holds every rewrite as int tuples until
-# it is read, so larger chains are refused before one is built.
+# (`reduce --emit-log`, observers, library calls) holds every rewrite as int
+# tuples until it is read, so larger chains are refused before one is built.
 ENGINE_VERTEX_GUARD = 10_000
 
 
@@ -366,48 +370,87 @@ def _run_side(
     steps: int,
     side: str,
     merge_last: bool,
-) -> tuple[int, Fraction, TailTriple]:
+) -> tuple[int, tuple[int, int, list], TailTriple]:
     """Run `steps` transform(+merge) rounds from one chain end.
 
     Returns the label of the middle vertex of the last transform, which the
     caller either prunes (straight chains) or leaves for the final assembly
-    (bent chains), the sum of the tails t in order, and the last tail.
+    (bent chains), the side's record, and the last tail.  The record is the
+    terminal, the last star and the side's t pairs in order; the side's
+    stars carry consecutive labels, so star j is the last star minus
+    (steps - j).  The tails are not added here: the final pass adds them,
+    and `_collapse_to_single_edge` checks that it adds exactly these.
     """
     nbrs = state.neighbors(terminal)
     if len(nbrs) != 2 or inward not in nbrs:
         raise ReductionError(f"terminal {terminal} does not start a reducible chain")
     (far,) = [v for v in nbrs if v != inward]
     anchor, middle = terminal, inward
-    total = None
+    ts = []
     for j in range(1, steps + 1):
         star, entry = state.apply_delta_y(anchor, middle, far, side)
-        t = entry[5][2]  # the outputs are (b, s, t)
-        total = t if total is None else _add_pairs(total, t)
+        ts.append(entry[5][2])  # the outputs are (b, s, t)
         if j == steps and not merge_last:
             break
         u, w = state.merge_series_at(middle, side)
         anchor, middle, far = star, far, (w if u == star else u)
-    # The tail-bookkeeping check cannot see a wrong tail t, since both of its
-    # sides read the same t values; checking the side's last transform
-    # against the textbook `delta_y` can, at O(1) big-integer work.
+    # The tail-bookkeeping check cannot see a wrong tail t, since the chain
+    # it walks holds the same t pairs the log does; checking the side's last
+    # transform against the textbook `delta_y` can, at O(1) big-integer work.
     index, _, _, _, inputs, outputs = entry
     b, s, t = map(_fraction, outputs)
     if (b, s, t) != delta_y(*map(_fraction, inputs)):
         raise ReductionError(f"star transform {index} disagrees with delta_y")
-    return middle, _fraction(total), TailTriple(steps, t, s, b)
+    return middle, (terminal, star, ts), TailTriple(steps, t, s, b)
 
 
-def _collapse_to_single_edge(state: ReductionState, expected: Fraction) -> Fraction:
+def _check_tail_chain(adj: dict, terminal: int, last_star: int, ts: list) -> None:
+    """Refuse a side whose chain from its terminal does not hold exactly its tails.
+
+    With p = len(ts), the chain must run terminal, star_1, ..., star_p on
+    the consecutive labels ending at `last_star`, the edge into star_j must
+    hold the t pair ts[j - 1] (the very object `apply_delta_y` stored, so
+    each comparison is O(1)), and the terminal and every star but the last
+    must have no other edge.  Then the sorted final pass merges the stars
+    in chain order, adding the tails, and reaches the last star with their
+    sum on its edge to the terminal.
+    """
+    v, edges = terminal, {}
+    for star, t in enumerate(ts, start=last_star - len(ts) + 1):
+        edges[star] = t
+        if adj[v] != edges:
+            raise ReductionError(f"tail bookkeeping disagrees with the circuit at vertex {v}")
+        v, edges = star, {v: t}
+    if not edges.items() <= adj[v].items():
+        raise ReductionError(f"tail bookkeeping disagrees with the circuit at vertex {v}")
+
+
+def _collapse_to_single_edge(state: ReductionState, middle: Fraction, sides=()) -> Fraction:
     """Series-merge the chain left between the terminals into one resistor.
 
     After the side reductions the circuit is a chain: taken in ascending
     label order, every interior vertex has degree 2 when its turn comes, so
     one sorted pass of series merges (each followed by a parallel merge when
     it closes a pair) leaves the single resistor source-sink.  A vertex of
-    any other degree raises ReductionError, as does a result that differs
-    from `expected`, the value of the tail bookkeeping.
+    any other degree raises ReductionError.
+
+    The pass is the only place the tails are added.  `sides` holds each
+    side run's record: its terminal, last star and t pairs.  Each side's
+    chain must hold exactly those tails (`_check_tail_chain`), and the
+    side's sum is read off the edge from its last star to its terminal as
+    the pass reaches that star.  The collapsed value must equal `middle`
+    joined in series with those sums, or ReductionError is raised: the
+    tail bookkeeping disagrees.
     """
+    adj = state._adj
+    last_stars = {}
+    for terminal, last_star, ts in sides:
+        _check_tail_chain(adj, terminal, last_star, ts)
+        last_stars[last_star] = terminal
+    expected = middle
     for v in state.vertices:
+        if v in last_stars:
+            expected = series_combine(expected, _fraction(adj[v][last_stars[v]]))
         if v not in (state.source, state.sink):
             state.merge_series_at(v, "final")
     value = state.resistance_between(state.source, state.sink)
@@ -429,12 +472,9 @@ def reduce_straight_state(
     graph = straight_2tree(n)
     state = ReductionState(graph, source=1, sink=n, observer=observer, keep_log=keep_log)
     m = n - 2
-    last_middle, tail_sum, last = _run_side(
-        state, terminal=1, inward=2, steps=m, side="left", merge_last=False
-    )
+    last_middle, chain, last = _run_side(state, terminal=1, inward=2, steps=m, side="left", merge_last=False)
     state.prune_leaf(last_middle, "left")
-    expected = series_combine(tail_sum, last.b)
-    return _collapse_to_single_edge(state, expected), state
+    return _collapse_to_single_edge(state, last.b, [chain]), state
 
 
 def reduce_bent(
@@ -453,12 +493,9 @@ def reduce_bent(
     state = ReductionState(graph, source=1, sink=n, observer=observer, keep_log=keep_log)
     p = k - 2
     ell = n - k - 1
-    _, left_sum, left = _run_side(state, terminal=1, inward=2, steps=p, side="left", merge_last=True)
-    _, right_sum, right = _run_side(
+    _, left_chain, left = _run_side(state, terminal=1, inward=2, steps=p, side="left", merge_last=True)
+    _, right_chain, right = _run_side(
         state, terminal=n, inward=n - 1, steps=ell, side="right", merge_last=False
     )
-    expected = series_combine(
-        series_combine(parallel_combine(left.b + right.s, left.s + right.b + 1), left_sum),
-        right_sum,
-    )
-    return _collapse_to_single_edge(state, expected), state
+    middle = parallel_combine(left.b + right.s, left.s + right.b + 1)
+    return _collapse_to_single_edge(state, middle, [left_chain, right_chain]), state

@@ -582,7 +582,8 @@ def test_engine_invariant_failure_exits_1(capsys, monkeypatch, argv):
 
 
 def test_only_reduce_keeps_the_engine_log(capsys, monkeypatch):
-    # `resistance` and `sweep` read only the engine's value; `reduce` prints its log.
+    # `resistance`, `sweep` and `reduce` without `--emit-log` read only the
+    # engine's value; `reduce --emit-log` prints its log.
     calls = []
 
     def spy(name, real):
@@ -599,6 +600,8 @@ def test_only_reduce_keeps_the_engine_log(capsys, monkeypatch):
         (("sweep", "bent", "--n", "6:7", "--methods", "engine"), [("bent", False)] * 3),
         (("resistance", "straight", "--n", "8", "--methods", "engine"), [("straight", False)]),
         (("sweep", "straight", "--n", "3:4", "--methods", "all"), [("straight", False)] * 2),
+        (("reduce", "bent", "8", "4"), [("bent", False)]),
+        (("reduce", "straight", "8"), [("straight", False)]),
         (("reduce", "bent", "8", "4", "--emit-log"), [("bent", True)]),
         (("reduce", "straight", "8", "--emit-log"), [("straight", True)]),
     ):
@@ -606,6 +609,11 @@ def test_only_reduce_keeps_the_engine_log(capsys, monkeypatch):
         assert code == 0 and out
         assert calls == expected, argv
         calls.clear()
+    # The record is the same with or without the log printed after it.
+    for argv in (("reduce", "bent", "8", "4", "--format", "json"), ("reduce", "straight", "8")):
+        _, record, _ = run_cli(capsys, *argv)
+        _, logged, _ = run_cli(capsys, *argv, "--emit-log")
+        assert logged.startswith(record) and logged != record
 
 
 @pytest.mark.parametrize(

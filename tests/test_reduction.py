@@ -284,14 +284,14 @@ def test_chain_sums_run_a_bounded_number_of_gcds(monkeypatch):
     monkeypatch.setattr(rational, "gcd", counted_gcd)
     monkeypatch.setattr(rational, "_add_pairs", watched_add)
     monkeypatch.setattr(reduction, "_add_pairs", watched_add)
-    for run, most in ((lambda: reduce_straight_state(200), 2), (lambda: reduce_bent(200, 77), 4)):
+    for run, most, joins in ((lambda: reduce_straight_state(200), 2, 1), (lambda: reduce_bent(200, 77), 4, 2)):
         _, state = run()
         assert 0 < sum(per_call) <= most
-        # Every tail goes through the addition once more, in the
-        # bookkeeping: the first tail starts the sum, and the last b (a
-        # straight chain) or the parallel pair (a bent one) joins it.
+        # Each tail is added once, by a series merge of the final pass.  The
+        # bookkeeping adds no tail: it joins the side sums the pass formed to
+        # the last b (a straight chain) or the parallel pair (a bent one).
         merges = sum(record.kind == "series" for record in state.log)
-        assert len(per_call) - merges == len(state.left_tails) + len(state.right_tails)
+        assert len(per_call) == merges + joins
         per_call.clear()
 
 
@@ -316,6 +316,109 @@ def test_a_wrong_tail_is_refused(monkeypatch, capsys):
     assert cli.main(["reduce", "bent", "40", "17"]) == 1
     out, err = capsys.readouterr()
     assert out == "" and "disagrees with delta_y" in err
+
+
+def _assert_the_bookkeeping_refuses(capsys, runs):
+    # A run without its log is refused the same way, at the same vertex, and
+    # `reduce` exits 1 with or without the log it would print.
+    for run, args in runs:
+        messages = []
+        for keep_log in (True, False):
+            with pytest.raises(ReductionError, match="tail bookkeeping disagrees") as caught:
+                run(*args, keep_log=keep_log)
+            messages.append(str(caught.value))
+        assert messages[0] == messages[1]
+    for flags in ((), ("--emit-log",)):
+        assert cli.main(["reduce", "bent", "40", "17", *flags]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "tail bookkeeping disagrees" in err
+
+
+# Each tamper takes a side record (terminal, last star, t pairs) apart.
+_TAMPERS = {
+    "first tail dropped": lambda last_star, ts: (last_star, ts[1:]),
+    "last tail dropped": lambda last_star, ts: (last_star, ts[:-1]),
+    "tails shifted a star on": lambda last_star, ts: (last_star, ts[1:] + ts[:1]),
+    "stars shifted a label down": lambda last_star, ts: (last_star - 1, ts),
+}
+
+
+@pytest.mark.parametrize("tamper", _TAMPERS.values(), ids=_TAMPERS)
+def test_a_side_record_that_drops_or_shifts_a_tail_is_refused(monkeypatch, capsys, tamper):
+    real = reduction._run_side
+
+    def tampered(*args, **kwargs):
+        middle, (terminal, last_star, ts), last = real(*args, **kwargs)
+        return middle, (terminal, *tamper(last_star, ts)), last
+
+    monkeypatch.setattr(reduction, "_run_side", tampered)
+    _assert_the_bookkeeping_refuses(capsys, ((reduce_bent, (40, 17)), (reduce_straight_state, (40,))))
+
+
+@pytest.mark.parametrize("end", ["anchor", "star"])
+def test_an_anchor_edge_other_than_its_tail_is_refused(monkeypatch, capsys, end):
+    # The transform logs t, but the circuit holds t + 1 on the anchor edge,
+    # seen from one end of it.  A side of one transform (a straight chain on
+    # three vertices, the left side of a bend at 3) has no interior star, so
+    # only the check of its last star's edge sees it.
+    real = ReductionState.apply_delta_y
+
+    def tampered(self, anchor, middle, far, side):
+        star, entry = real(self, anchor, middle, far, side)
+        num, den = entry[5][2]
+        if end == "anchor":
+            self._adj[anchor][star] = (num + den, den)
+        else:
+            self._adj[star][anchor] = (num + den, den)
+        return star, entry
+
+    monkeypatch.setattr(ReductionState, "apply_delta_y", tampered)
+    runs = [(reduce_bent, (40, 17)), (reduce_bent, (8, 3)), (reduce_straight_state, (40,)), (reduce_straight_state, (3,))]
+    _assert_the_bookkeeping_refuses(capsys, runs)
+
+
+def test_a_parallel_pair_left_unjoined_is_refused(monkeypatch, capsys):
+    # The final pass stores the series resistor where it closes a pair, in
+    # place of the pair's parallel combination.  A straight chain closes none.
+    real = ReductionState.merge_series_at
+
+    def series_only(self, v, side):
+        merged = rational._add_pairs(*self._adj[v].values())
+        u, w = real(self, v, side)
+        self._adj[u][w] = self._adj[w][u] = merged
+        return u, w
+
+    monkeypatch.setattr(ReductionState, "merge_series_at", series_only)
+    _assert_the_bookkeeping_refuses(capsys, ((reduce_bent, (40, 17)),))
+
+
+def _side_circuit():
+    # The source 1 reaches star 5 through the tails 1/3 (1-4) and 1/6 (4-5);
+    # the middle between 5 and the sink 2 is 5-3-2 (1/2 + 1/3) in parallel
+    # with 5-2 (1), that is 5/11.  Edge values are resistances, weights 1/r.
+    edges = [(1, 4, 3), (4, 5, 6), (3, 5, 2), (2, 3, 3), (2, 5, 1)]
+    state = ReductionState(WeightedGraph(5, edges), source=1, sink=2)
+    adj = state._adj
+    return state, [adj[1][4], adj[4][5]]
+
+
+def test_final_collapse_adds_the_tails_it_checks():
+    state, ts = _side_circuit()
+    assert _collapse_to_single_edge(state, Fraction(5, 11), [(1, 5, ts)]) == Fraction(1, 2) + Fraction(5, 11)
+    # The pass formed the tail sum 1-5 with one series merge, then joined the middle.
+    final = [(record.kind, record.nodes) for record in state.log]
+    assert final == [("series", (2, 3, 5)), ("parallel", (2, 5)), ("series", (1, 4, 5)), ("series", (1, 5, 2))]
+    for middle, record in (
+        (Fraction(5, 6), lambda ts: (1, 5, ts)),  # the series path alone, not the pair
+        (Fraction(5, 11), lambda ts: (1, 5, ts[1:])),
+        (Fraction(5, 11), lambda ts: (1, 4, ts[:1])),
+        (Fraction(5, 11), lambda ts: (1, 5, [(1, 2), ts[1]])),
+        (Fraction(5, 11), lambda ts: (1, 5, ts[::-1])),
+        (Fraction(5, 11), lambda ts: (2, 5, ts)),
+    ):
+        state, ts = _side_circuit()
+        with pytest.raises(ReductionError, match="tail bookkeeping disagrees"):
+            _collapse_to_single_edge(state, middle, [record(ts)])
 
 
 @pytest.mark.parametrize(
