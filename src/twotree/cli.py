@@ -24,21 +24,19 @@ from .formulas import (
     BentParams,
     bent_resistance_alternating,
     bent_resistance_product,
+    closed_form_work,
     straight_pair_resistance,
 )
-from .graphs import GraphError, WeightedGraph, bent_2tree, straight_2tree
+from .graphs import MAX_SWEEP_COST, GraphError, WeightedGraph, bent_2tree, check_work, straight_2tree, units
 from .rational import decimal_string, ratio_string
-from .reduction import ReductionError, check_engine_size, reduce_bent, reduce_straight_state
-from .resistance import check_oracle_size, resistance_exact, resistance_float
+from .reduction import ReductionError, engine_work, reduce_bent, reduce_straight_state
+from .resistance import exact_work, float_work, resistance_exact, resistance_float
 
 FLOAT_RELATIVE_TOLERANCE = 1e-9
 ORACLE_DEFAULT_CUTOFF = 200
 # A sweep holds every record in memory until it prints them, so larger
 # grids are refused before any record is computed.
 MAX_SWEEP_RECORDS = 10_000
-# The summed cost of a query's or sweep's routes (about 1 ns a unit, see
-# _ROUTES): few but costly records are refused before they run for hours.
-MAX_SWEEP_COST = 100_000_000_000
 # Every decimal is held until the records print, so longer ones are refused.
 MAX_DIGITS = 10_000
 # identities.PROFILES, repeated so that only `verify` loads the catalogue;
@@ -53,131 +51,78 @@ class UsageError(ValueError):
 
 
 class _Route:
-    """call(n, k, i, j, chain) gives the value; guard(n), if set, refuses n past
-    its bound; cost(n, k) bounds the time of one record, rendering included,
-    about 1 ns a unit.  An ends_only route answers only the end pair (1, n).
-    A route is a default for (1, n) if default_at_ends, and for other pairs
-    while n <= default_inside_up_to.  An oracle runs on the chain the oracles
-    share.
+    """call(n, k, i, j, chain) gives the value; cost(n, k) is the work of one
+    record by the work function of the route's module, about 1 ns a unit,
+    summed over a batch against MAX_SWEEP_COST.  An ends_only route answers
+    only the end pair (1, n).  A route is a default for (1, n) if
+    default_at_ends, and for other pairs while n <= default_inside_up_to.
+    An oracle runs on the chain the oracles share.
     """
 
-    __slots__ = ("call", "guard", "cost", "ends_only", "default_at_ends", "default_inside_up_to", "oracle")
+    __slots__ = ("call", "cost", "ends_only", "default_at_ends", "default_inside_up_to", "oracle")
 
-    def __init__(self, call, guard, cost, ends_only, default_at_ends, default_inside_up_to, oracle):
-        self.call, self.guard, self.cost, self.ends_only = call, guard, cost, ends_only
+    def __init__(self, call, cost, ends_only, default_at_ends, default_inside_up_to, oracle):
+        self.call, self.cost, self.ends_only = call, cost, ends_only
         self.default_at_ends, self.default_inside_up_to, self.oracle = default_at_ends, default_inside_up_to, oracle
 
 
-# Each price below is a fixed term per record (building, rendering and
-# checking it), a term per vertex, and the orders of the route's big-integer
-# or float work.  tests/check_prices.py times every route against its price.
-
-def _engine_cost(n: int, k: int) -> int:
-    # The engine reduces about k triangles from one end of a bent chain and
-    # n - k from the other (a straight chain: k = n, all from one end), at
-    # about 5 us a vertex (a transform, a merge and the series merge of the
-    # final pass that adds its tail; these routes keep no log) up to a few
-    # hundred vertices.  Past a few thousand the big-integer work of a side
-    # grows as the cube of its length, so an edge bend costs as much as a
-    # straight chain and about three times a centred one.  The
-    # coefficients, fitted at 15 us a vertex, stay above the slowest of
-    # centre, edge and straight runs at n = 6 to 3000, and at 10,000.
-    return 200_000 + 40_000 * n + 40 * n * n + (k**3 + (n - k) ** 3) // 80
-
-
-def _closed_form_cost(n: int) -> int:
-    # Each closed form reads a few Fibonacci/Lucas numbers of index up to
-    # about 2n, then reduces and renders one fraction of O(n) bits, about
-    # 0.1 ms a record at small n.  Past the 1024-index sequence tables the
-    # numbers come from fast doubling, and gcd and int-to-decimal conversion
-    # grow as the square of the bit length.  The coefficient puts the price
-    # above the slowest measured query, rendering included: `product` with an
-    # edge bend, 0.47 ms at n = 2000 and 0.40 / 4.4 / 42 s at n = 10^5 /
-    # 3*10^5 / 10^6, against `alternating` at 0.29 / 1.7 / 17 s and `formula`
-    # at 0.19 / 2.0 / 20 s.
-    return 100_000 + 100 * n + n * n // 16
-
-
-def _exact_cost(n: int) -> int:
-    # Building the chain and the envelope rows costs about 20 us a vertex;
-    # the O(n) row operations on O(n)-bit integers grow as n^2 past that.
-    return 100_000 + 20_000 * n + 100 * n * n
-
-
-def _float_cost(n: int) -> int:
-    # The band, built edge by edge, then elimination and back substitution
-    # inside it: a chain's half-bandwidth is at most 3, so both are linear,
-    # about 4 us a vertex at n = 2000.  The coefficient leaves room for the
-    # record around it and for a slow phase of the machine.
-    return 200_000 + 15_000 * n
-
-
 # Every route of the CLI.  A call looks its function up in this module when it
-# runs, so a wrapper or stub set here reaches it.  Costs are the measured
-# orders with coefficients from Python 3.11 on a 2-vCPU VM; the straight
-# engine reduces the whole chain, so it only gives r(1, n).
+# runs, so a wrapper or stub set here reaches it.  The straight engine reduces
+# the whole chain, so it only gives r(1, n).  The oracles price a chain by its
+# grounded Laplacian: half-bandwidth 3 with a bend and 2 without, and mean
+# degree 4 - 6/n, rounded up.  tests/check_prices.py times every route
+# against its price.
 _ROUTES = {
     ("bent", "alternating"): _Route(
         lambda n, k, i, j, g: bent_resistance_alternating(BentParams(n, k)),
-        None, lambda n, k: _closed_form_cost(n), False, True, 0, False),
+        lambda n, k: closed_form_work(n), False, True, 0, False),
     ("bent", "product"): _Route(
         lambda n, k, i, j, g: bent_resistance_product(BentParams(n, k)),
-        None, lambda n, k: _closed_form_cost(n), False, False, 0, False),
+        lambda n, k: closed_form_work(n), False, False, 0, False),
     ("bent", "engine"): _Route(
         lambda n, k, i, j, g: reduce_bent(n, k, keep_log=False)[0],
-        check_engine_size, lambda n, k: _engine_cost(n, k), True, True, 0, False),
+        engine_work, True, True, 0, False),
     ("bent", "exact"): _Route(
         lambda n, k, i, j, g: resistance_exact(g, i, j),
-        check_oracle_size, lambda n, k: _exact_cost(n), False, False, 0, True),
+        lambda n, k: exact_work(n, 3, 4), False, False, 0, True),
     ("bent", "float"): _Route(
         lambda n, k, i, j, g: resistance_float(g, i, j),
-        check_oracle_size, lambda n, k: _float_cost(n), False, False, 0, True),
+        lambda n, k: float_work(n, 3), False, False, 0, True),
     ("straight", "formula"): _Route(
         lambda n, k, i, j, g: straight_pair_resistance(n - 2, i, j - i),
-        None, lambda n, k: _closed_form_cost(n), False, True, math.inf, False),
+        lambda n, k: closed_form_work(n), False, True, math.inf, False),
     ("straight", "engine"): _Route(
         lambda n, k, i, j, g: reduce_straight_state(n, keep_log=False)[0],
-        check_engine_size, lambda n, k: _engine_cost(n, n), True, True, 0, False),
+        lambda n, k: engine_work(n, n), True, True, 0, False),
     ("straight", "exact"): _Route(
         lambda n, k, i, j, g: resistance_exact(g, i, j),
-        check_oracle_size, lambda n, k: _exact_cost(n), False, False, ORACLE_DEFAULT_CUTOFF, True),
+        lambda n, k: exact_work(n, 2, 4), False, False, ORACLE_DEFAULT_CUTOFF, True),
     ("straight", "float"): _Route(
         lambda n, k, i, j, g: resistance_float(g, i, j),
-        check_oracle_size, lambda n, k: _float_cost(n), False, False, 0, True),
+        lambda n, k: float_work(n, 2), False, False, 0, True),
 }
 
 
+def _applicable_routes(family: str, ends: bool) -> dict[str, _Route]:
+    return {tag: r for (fam, tag), r in _ROUTES.items() if fam == family and (ends or not r.ends_only)}
+
+
 def _resolve_methods(requested: Optional[str], family: str, n: int, i: int, j: int) -> list[str]:
-    """The routes a query runs; refuses any inapplicable, repeated or oversized one."""
+    """The routes a query runs; refuses any inapplicable or repeated one."""
     ends = (i, j) == (1, n)
-    routes = {tag: r for (fam, tag), r in _ROUTES.items() if fam == family and (ends or not r.ends_only)}
+    routes = _applicable_routes(family, ends)
     if requested is None or requested == "default":
-        chosen = [t for t, r in routes.items() if (r.default_at_ends if ends else n <= r.default_inside_up_to)]
-    elif requested == "all":
-        chosen = list(routes)
-    else:
-        chosen = [m.strip() for m in requested.split(",") if m.strip()]
-        if not chosen:
-            raise UsageError("empty method list")
-        for at, m in enumerate(chosen):
-            if m not in routes:
-                raise UsageError(f"method {m!r} is not applicable here; choose from {', '.join(routes)}")
-            if m in chosen[:at]:
-                raise UsageError(f"method {m!r} is listed twice")
-    # Checked before any route runs, so that no route runs only for a later
-    # one to refuse the size.
-    for tag in chosen:
-        if routes[tag].guard is not None:
-            try:
-                routes[tag].guard(n)
-            except GraphError as exc:
-                if requested not in (None, "default"):
-                    raise
-                unguarded = ",".join(t for t, r in routes.items() if r.guard is None)
-                raise UsageError(
-                    f"{exc}; the default methods include {tag!r}, so pass"
-                    f" --methods {unguarded} for the closed forms alone"
-                ) from None
+        return [t for t, r in routes.items() if (r.default_at_ends if ends else n <= r.default_inside_up_to)]
+    if requested == "all":
+        return list(routes)
+    chosen = [m.strip() for m in requested.split(",") if m.strip()]
+    if not chosen:
+        raise UsageError("empty method list")
+    for at, m in enumerate(chosen):
+        if m not in routes:
+            raise UsageError(f"method {m!r} is not applicable here; choose from {', '.join(routes)}")
+        if m in chosen[:at]:
+            raise UsageError(f"method {m!r} is listed twice")
     return chosen
 
 
@@ -310,19 +255,33 @@ def _run_points(command: str, family: str, points, args, out) -> int:
         raise UsageError(f"sweep of more than {MAX_SWEEP_RECORDS} records exceeds MAX_SWEEP_RECORDS")
     # A batch of several points is a sweep of end pairs (1, n), whose default
     # routes do not depend on n, so the routes chosen at the last and largest
-    # n serve every point, and the guards bound n.
+    # n serve every point.
     methods = []
     if points:
         n, _, i, j = points[-1]
         methods = _resolve_methods(args.methods, family, n, i, j)
-    cost = sum(_ROUTES[family, tag].cost(n, k) for n, k, _, _ in points for tag in methods)
-    if cost > MAX_SWEEP_COST:
-        what, hint = (
-            (f"sweep of {len(points)} records", "split it") if command == "sweep" else ("query", "ask a smaller n")
-        )
+
+    def batch_cost(tag: str) -> int:
+        cost = _ROUTES[family, tag].cost
+        return sum(cost(pn, pk) for pn, pk, _, _ in points)
+
+    costs = {tag: batch_cost(tag) for tag in methods}
+    if sum(costs.values()) > MAX_SWEEP_COST:
+        what = f"sweep of {len(points)} records" if command == "sweep" else "query"
+        hint = f"{'split it' if command == 'sweep' else 'ask a smaller n'} or pass cheaper --methods"
+        if args.methods in (None, "default"):
+            fit, left = [], MAX_SWEEP_COST
+            for tag in _applicable_routes(family, (i, j) == (1, n)):
+                cost = batch_cost(tag)
+                if cost <= left:
+                    fit.append(tag)
+                    left -= cost
+            if fit:
+                hint = f"the default methods do not fit, so pass --methods {','.join(fit)}"
+        work = ", ".join(f"{tag} {units(cost)}" for tag, cost in costs.items())
         raise UsageError(
-            f"{what} costs about {cost:.1e} units, over MAX_SWEEP_COST = {MAX_SWEEP_COST:.1e};"
-            f" {hint} or pass cheaper --methods"
+            f"{what} costs about {units(sum(costs.values()))} units ({work}),"
+            f" over MAX_SWEEP_COST = {units(MAX_SWEEP_COST)}; {hint}"
         )
     records = [build_record(command, family, n, k, i, j, methods, args.digits) for n, k, i, j in points]
     emit_records(records, args.format, out)
@@ -416,14 +375,26 @@ def _cmd_reduce(args, out) -> int:
                 graph = WeightedGraph.from_text(handle.read())
         except OSError as exc:
             raise UsageError(f"cannot read {args.path}: {exc}") from exc
-        # Before the connectivity check, which builds a dict over all n vertices.
-        check_engine_size(graph.n)
+        n, k = graph.n, None
+    else:
+        n, k = args.n, getattr(args, "k", None)
+    # Priced before anything of size n is built; a file as a straight chain,
+    # the engine's worst case, before the connectivity check walks it.  A
+    # side's j-th log records carry integers of about 1.4 j bits, so the
+    # log's text grows as the squares of the side lengths: 55 MB, written in
+    # 1.3 s, for a straight chain of 4000 vertices.
+    bend = n if k is None else k
+    work = {"engine": engine_work(n, bend)}
+    if args.emit_log:
+        work["step log"] = 250 * (bend**2 + (n - bend) ** 2)
+    parts = ", ".join(f"{what} {units(w)}" for what, w in work.items())
+    check_work(f"reduce on {n} vertices ({parts})", sum(work.values()))
+    if args.what == "file":
         if not graph.is_connected():
             raise UsageError("input graph is disconnected")
         family, k = _detect_family(graph)
-        n = graph.n
     else:
-        family, n, k = args.what, args.n, getattr(args, "k", None)
+        family = args.what
     if family == "straight":
         value, state = reduce_straight_state(n, keep_log=args.emit_log)
     else:

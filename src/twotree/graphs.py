@@ -6,6 +6,7 @@ immutable once built; edge weights are exact rationals.
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 from math import lcm
 from typing import Iterable
@@ -15,6 +16,21 @@ from .rational import as_rational, ratio_string
 
 class GraphError(ValueError):
     """Invalid graph construction or query."""
+
+
+# The one bound on priced work, in units of about 1 ns (about 100 s): of an
+# engine or oracle call, and of a CLI query or sweep summed over its routes.
+MAX_SWEEP_COST = 100_000_000_000
+
+
+def units(work: int) -> str:
+    return f"{Decimal(work):.1e}"  # a float would overflow past 1e308
+
+
+def check_work(what: str, work: int) -> None:
+    """Refuse `what` when its priced `work` is over MAX_SWEEP_COST."""
+    if work > MAX_SWEEP_COST:
+        raise GraphError(f"{what} is about {units(work)} units of work, over MAX_SWEEP_COST = {units(MAX_SWEEP_COST)}")
 
 
 EdgeInput = tuple[int, int, "Fraction | int"]

@@ -20,20 +20,19 @@ from functools import cache
 from math import gcd
 from typing import Callable, NamedTuple, Optional
 
-from .graphs import GraphError, WeightedGraph, bent_2tree, straight_2tree
+from .graphs import WeightedGraph, bent_2tree, check_work, straight_2tree
 from .rational import _add_pairs, _coprime_fraction, as_rational, parallel_combine, ratio_string, series_combine
 
 
-# The engine's time grows faster than n^2, and a run that keeps its step log
-# (`reduce --emit-log`, observers, library calls) holds every rewrite as int
-# tuples until it is read, so larger chains are refused before one is built.
-ENGINE_VERTEX_GUARD = 10_000
+def engine_work(n: int, k: int) -> int:
+    """The engine on n vertices bent at k (straight: k = n), in units of about 1 ns.
 
-
-def check_engine_size(n: int) -> None:
-    """Refuse a chain on more than ENGINE_VERTEX_GUARD vertices."""
-    if n > ENGINE_VERTEX_GUARD:
-        raise GraphError(f"the reduction engine is guarded at n <= {ENGINE_VERTEX_GUARD}, got n = {n}")
+    About 5 us a vertex up to a few hundred vertices; past a few thousand a
+    side's big-integer work grows as the cube of its length.  Fitted at 15 us
+    a vertex, above centre, edge and straight runs at n = 6 to 3000 and
+    10,000 (a centred bend at 20,000: 7.6 s, priced 42 s), log kept or not.
+    """
+    return 200_000 + 40_000 * n + 40 * n * n + (k**3 + (n - k) ** 3) // 80
 
 
 class ReductionError(ValueError):
@@ -468,7 +467,7 @@ def reduce_straight_state(
     every check still runs.
     """
     _check_log_request(observer, keep_log)
-    check_engine_size(n)
+    check_work(f"the reduction engine on a straight chain of {n} vertices", engine_work(n, n))
     graph = straight_2tree(n)
     state = ReductionState(graph, source=1, sink=n, observer=observer, keep_log=keep_log)
     m = n - 2
@@ -488,7 +487,7 @@ def reduce_bent(
     every check still runs.
     """
     _check_log_request(observer, keep_log)
-    check_engine_size(n)
+    check_work(f"the reduction engine on a chain of {n} vertices bent at {k}", engine_work(n, k))
     graph = bent_2tree(n, k)
     state = ReductionState(graph, source=1, sink=n, observer=observer, keep_log=keep_log)
     p = k - 2

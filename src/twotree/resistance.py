@@ -10,7 +10,8 @@ The float path builds its own upper band in plain Python floats, also from
 the edge list, and runs Gaussian elimination without pivoting inside it: a
 chain's half-bandwidth is at most 3, so it costs O(n) float operations.  It
 exists to cross-check the exact path, never to feed it, and shares no code
-with it past the query checks.
+with it past the query checks, which read the band off the edge list.  Each
+path refuses a graph priced over MAX_SWEEP_COST before it allocates a row.
 """
 
 from __future__ import annotations
@@ -20,31 +21,36 @@ from itertools import accumulate
 from math import lcm
 from operator import mul
 
-from .graphs import GraphError, WeightedGraph
-
-# The exact oracle's time grows with its envelopes' bit work, so larger graphs
-# are refused before either oracle runs.
-ORACLE_VERTEX_GUARD = 2000
-
-# The float band solve does about n * (w + 1)^2 multiply-adds for
-# half-bandwidth w: about 3 * 10^4 on a 2000-vertex chain, but about n^3 on a
-# shuffled or dense graph.  This bound, a few seconds, is checked before the
-# band is built.
-FLOAT_BAND_WORK_GUARD = 10**8
+from .graphs import GraphError, WeightedGraph, check_work
 
 
-def check_oracle_size(n: int) -> None:
-    """Refuse a graph on more than ORACLE_VERTEX_GUARD vertices."""
-    if n > ORACLE_VERTEX_GUARD:
-        raise GraphError(
-            f"the Laplacian oracles are guarded at n <= {ORACLE_VERTEX_GUARD}, got n = {n}"
-        )
+def exact_work(n: int, width: int, diagonal: int) -> int:
+    """The exact oracle in units of about 1 ns, on n vertices whose grounded
+    Laplacian has half-bandwidth `width` and mean diagonal entry `diagonal`:
+    20 us a vertex to build, 100 n^2 for its O(n)-bit rows, and up to
+    (width + 1)^2 row operations a vertex on minors that grow by about
+    diagonal.bit_length() bits a step (Hadamard's and the AM-GM inequality),
+    with divisions quadratic in their length.  0.27 / 0.85 / 3.9 s on a
+    centred bend at n = 2000 / 3000 / 5000; 0.09 / 0.7 s on a chain shuffled
+    at n = 200 / 400, whose envelope stays sparse."""
+    return 100_000 + 20_000 * n + 100 * n * n + n * (width + 1) ** 2 * (200 + (n * diagonal.bit_length()) ** 2 // 1620)
 
 
-def _check_query(g: WeightedGraph, i: int, j: int) -> None:
+def float_work(n: int, width: int) -> int:
+    """The float oracle in units of about 1 ns, on n vertices whose grounded
+    Laplacian has half-bandwidth `width`: n (width + 1)^2 multiply-adds, so
+    0.8 s on a chain of 10^5 vertices but about n^3 on a shuffled one."""
+    return 200_000 + 5_000 * n + 1_000 * n * (width + 1) ** 2
+
+
+def _check_query(g: WeightedGraph, i: int, j: int, ground: int) -> int:
+    """Refuse a vertex out of range; return the half-bandwidth of g grounded at
+    `ground`, the largest b - a over the edges off it."""
     if not (1 <= i <= g.n and 1 <= j <= g.n):
         raise GraphError(f"vertex pair ({i},{j}) out of range 1..{g.n}")
-    check_oracle_size(g.n)
+    if not 1 <= ground <= g.n:
+        raise GraphError(f"ground vertex {ground} out of range 1..{g.n}")
+    return max((b - a for a, b, _ in g.edges if a != ground != b), default=0)
 
 
 def _envelope_solve(upper: list[list[int]], lo: list[int], rhs: list[int]) -> tuple[list[int], int]:
@@ -100,16 +106,17 @@ def resistance_exact(g: WeightedGraph, i: int, j: int, *, ground: int | None = N
     Any vertex may be grounded; the answer is independent of the choice
     (the default grounds j).  Returns 0 for i == j without solving.
     """
-    _check_query(g, i, j)
     w = j if ground is None else ground
-    if not 1 <= w <= g.n:
-        raise GraphError(f"ground vertex {w} out of range 1..{g.n}")
+    width = _check_query(g, i, j, w)
+    scale = lcm(*(wt.denominator for _, _, wt in g.edges))
+    total = sum(wt.numerator * (scale // wt.denominator) for _, _, wt in g.edges)
+    work = exact_work(g.n, width, -(-2 * total // g.n))
+    check_work(f"the exact oracle on {g.n} vertices (half-bandwidth {width})", work)
     if i == j:
         return Fraction(0)
     if not g.is_connected():
         raise GraphError("resistance is undefined on a disconnected graph")
 
-    scale = lcm(*(wt.denominator for _, _, wt in g.edges))
     # Grounding w: its row and column become the identity's, so vertex v
     # keeps row v - 1.  Off the diagonal, the nonzeros are exactly the edges.
     lo = list(range(g.n))
@@ -143,19 +150,13 @@ def resistance_float(g: WeightedGraph, i: int, j: int) -> float:
     positive definite, so elimination needs no pivoting and its fill stays
     inside the band.
     """
-    _check_query(g, i, j)
+    n = g.n
+    width = _check_query(g, i, j, j)
+    check_work(f"the float oracle on {n} vertices (half-bandwidth {width})", float_work(n, width))
     if i == j:
         return 0.0
     if not g.is_connected():
         raise GraphError("resistance is undefined on a disconnected graph")
-    n = g.n
-    width = max((b - a for a, b, _ in g.edges if j not in (a, b)), default=0)
-    work = n * (width + 1) ** 2
-    if work > FLOAT_BAND_WORK_GUARD:
-        raise GraphError(
-            f"the float oracle's band solve needs about {work} operations"
-            f" (half-bandwidth {width}), over {FLOAT_BAND_WORK_GUARD}"
-        )
     band = [[0.0] * (width + 1) for _ in range(n)]
     for a, b, wgt in g.edges:
         c = float(wgt)

@@ -3,29 +3,43 @@
     python -m pytest tests/check_prices.py -s
     PYTHONPATH=src python tests/check_prices.py      # the table alone
 
-The CLI prices each route before any route runs (`_ROUTES` in
-twotree.cli, about 1 ns a unit) and refuses a request over MAX_SWEEP_COST.
+Each route states its work next to its code (`closed_form_work`,
+`engine_work`, `exact_work`, `float_work`, about 1 ns a unit); the CLI sums
+them (`_ROUTES` in twotree.cli) and refuses a request over MAX_SWEEP_COST.
 This check times warm records of all nine routes through `build_record`
 and `emit_records` (JSON), the median of three after one untimed record, at
-n = 6, 40, 200, 1000 and 2000 (up to each route's guard), also at 10^4 and
-10^5 for the closed forms and at 3000 with a centred and an edge bend for
-the engine.  It prints the table and fails when a median exceeds FACTOR
-times its price.  Bent chains take the centred bend of `sweep --k-policy
-center`; straight routes take the interior pair (2, n - 1), except the
-engine, which only answers (1, n).  The file name keeps it out of the
-default test collection; it takes about half a minute.
+n = 6, 40, 200, 1000 and 2000, at 10^4 and 10^5 for the closed forms and
+`float`, at 3000 and 5000 for `exact`, and at 3000 (a centred and an edge
+bend) and 10^4 (centred) for the bent engine; a size is kept only while the
+route's work is within MAX_SWEEP_COST.  It also times library calls of
+`resistance_exact` on straight chains with shuffled labels, at n = 200 and
+400, against `exact_work` of their band.  It prints the table and fails
+when a median exceeds FACTOR times its price.  Bent chains take the centred
+bend of `sweep --k-policy center`; straight routes take the interior pair
+(2, n - 1), except the engine, which only answers (1, n).  The file name
+keeps it out of the default test collection; it takes about a minute.
 """
 
 import io
+import random
 import statistics
 import time
 
-from twotree import cli
-from twotree.graphs import GraphError
+from twotree import cli, resistance
+from twotree.graphs import MAX_SWEEP_COST, WeightedGraph, straight_2tree
 
 FACTOR = 2
 SIZES = (6, 40, 200, 1000, 2000)
-CLOSED_FORM_SIZES = (10_000, 100_000)
+# Sizes past SIZES, by route tag; the engine's are (n, k) of bent chains.
+LARGER = {
+    "alternating": (10_000, 100_000),
+    "product": (10_000, 100_000),
+    "formula": (10_000, 100_000),
+    "float": (10_000, 100_000),
+    "exact": (3000, 5000),
+}
+ENGINE_BENDS = ((3000, 1500), (3000, 3), (10_000, 5000))
+SHUFFLED_SIZES = (200, 400)
 
 
 def _centre(n: int) -> int:
@@ -35,41 +49,56 @@ def _centre(n: int) -> int:
 def cases():
     """(family, tag, n, k, i, j) of every timed record."""
     for (family, tag), route in cli._ROUTES.items():
-        for n in SIZES + (CLOSED_FORM_SIZES if route.guard is None else ()):
-            if route.guard is not None:
-                try:
-                    route.guard(n)
-                except GraphError:
-                    break
-            if family == "bent":
-                yield family, tag, n, _centre(n), 1, n
-            elif route.ends_only:
-                yield family, tag, n, None, 1, n
-            else:
-                yield family, tag, n, None, 2, n - 1
+        points = [(n, _centre(n) if family == "bent" else None) for n in SIZES + LARGER.get(tag, ())]
         if (family, tag) == ("bent", "engine"):
-            yield family, tag, 3000, _centre(3000), 1, 3000
-            yield family, tag, 3000, 3, 1, 3000
+            points += ENGINE_BENDS
+        for n, k in points:
+            if route.cost(n, k) > MAX_SWEEP_COST:
+                continue
+            if family == "bent" or route.ends_only:
+                yield family, tag, n, k, 1, n
+            else:
+                yield family, tag, n, k, 2, n - 1
 
 
-def median_seconds(family: str, tag: str, n: int, k, i: int, j: int) -> float:
+def median_seconds(call) -> float:
     def once() -> float:
         start = time.perf_counter()
-        record = cli.build_record("resistance", family, n, k, i, j, [tag], 12)
-        cli.emit_records([record], "json", io.StringIO())
+        call()
         return time.perf_counter() - start
 
     once()
     return statistics.median(once() for _ in range(3))
 
 
+def _record(family, tag, n, k, i, j):
+    def call():
+        record = cli.build_record("resistance", family, n, k, i, j, [tag], 12)
+        cli.emit_records([record], "json", io.StringIO())
+
+    return call
+
+
+def shuffled_chain(n: int) -> tuple[WeightedGraph, list[int]]:
+    label = list(range(1, n + 1))
+    random.Random(5).shuffle(label)
+    chain = straight_2tree(n)
+    return WeightedGraph(n, [(label[a - 1], label[b - 1], w) for a, b, w in chain.edges]), label
+
+
 def measure() -> list[tuple]:
     """One row per case: the case, its median and its price, both in seconds."""
     rows = []
     for family, tag, n, k, i, j in cases():
-        seconds = median_seconds(family, tag, n, k, i, j)
-        price = cli._ROUTES[family, tag].cost(n, k) * 1e-9
-        rows.append((family, tag, n, k, i, j, seconds, price))
+        seconds = median_seconds(_record(family, tag, n, k, i, j))
+        rows.append((family, tag, n, k, i, j, seconds, cli._ROUTES[family, tag].cost(n, k) * 1e-9))
+    for n in SHUFFLED_SIZES:
+        g, label = shuffled_chain(n)
+        i, j = label[1], label[-2]
+        # A unit straight chain's mean degree, rounded up, is 4.
+        price = resistance.exact_work(n, resistance._check_query(g, i, j, j), 4) * 1e-9
+        seconds = median_seconds(lambda: resistance.resistance_exact(g, i, j))
+        rows.append(("shuffled", "exact", n, None, i, j, seconds, price))
     return rows
 
 

@@ -397,8 +397,8 @@ def test_fixed_sweep_past_every_bend_is_empty_at_once(capsys):
 
 
 def test_costly_query_is_refused_before_any_route(capsys, monkeypatch):
-    # Under the guards no single query costs more than MAX_SWEEP_COST, so a
-    # lower budget stands in: a query is priced like a sweep of one record.
+    # A lower budget stands in, so that a failing check runs a query of
+    # seconds, not minutes: a query is priced like a sweep of one record.
     def no_records(*args):
         pytest.fail("a query over the cost budget computed a record")
 
@@ -412,6 +412,20 @@ def test_costly_query_is_refused_before_any_route(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert "MAX_SWEEP_COST" in err
+
+
+def test_work_past_the_float_range_is_refused(capsys):
+    # A price of about 10^800 units overflows a float; it must still be
+    # refused as a usage error, not crash the message that names it.
+    n = str(10**400)
+    for argv in (
+        ("resistance", "bent", "--n", n, "--k", "5", "--methods", "product"),
+        ("sweep", "straight", "--n", f"{n}:{n}"),
+        ("reduce", "straight", n),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert "units" in err and "MAX_SWEEP_COST" in err, argv
 
 
 def test_closed_forms_answer_a_centred_bend_past_the_tables(capsys):
@@ -507,7 +521,18 @@ def test_reduce_file_past_the_engine_guard_is_refused_from_its_header(capsys, mo
     assert time.perf_counter() - start < 1
     assert code == 2
     assert out == ""
-    assert "the reduction engine is guarded at n <= 10000" in err
+    assert "reduce on 1000000000 vertices (engine 1.3e+25) is about 1.3e+25 units of work, over MAX_SWEEP_COST" in err
+
+
+def test_reduce_prices_its_step_log(capsys, monkeypatch):
+    # The engine alone fits at n = 16,000 (about a minute, so it is stubbed);
+    # the text of its step log, which grows as n^2, does not.
+    monkeypatch.setattr(cli, "reduce_straight_state", lambda n, keep_log: (Fraction(1), None))
+    code, out, err = run_cli(capsys, "reduce", "straight", "16000", "--emit-log")
+    assert (code, out) == (2, "")
+    assert "step log" in err and "MAX_SWEEP_COST" in err
+    code, out, _ = run_cli(capsys, "reduce", "straight", "16000")
+    assert code == 0 and out
 
 
 def test_digits_flag(capsys):
@@ -636,43 +661,45 @@ def test_oracles_share_one_chain(capsys, monkeypatch, family, make_chain, argv, 
 
 
 def test_oversized_exact_request_is_usage_error(capsys):
-    for method in ("exact", "float"):
+    # The exact oracle's bit work grows as n^3 on a chain, the float one's
+    # band solve as n.
+    for method, n in (("exact", "20000"), ("float", "20000000")):
         code, out, err = run_cli(
-            capsys, "resistance", "straight", "--n", "2001", "--i", "2", "--j", "9", "--methods", method
+            capsys, "resistance", "straight", "--n", n, "--i", "2", "--j", "9", "--methods", method
         )
         assert code == 2
         assert out == ""
-        assert "guarded at n <= 2000" in err
+        assert f"({method} " in err and "MAX_SWEEP_COST" in err
 
 
 def test_oversized_engine_request_is_usage_error(capsys, monkeypatch):
     def no_chain(*args):
-        pytest.fail("a chain was built past the engine guard")
+        pytest.fail("a chain was built for work over the bound")
 
     monkeypatch.setattr("twotree.reduction.bent_2tree", no_chain)
     monkeypatch.setattr("twotree.reduction.straight_2tree", no_chain)
     for argv in (
-        ("resistance", "bent", "--n", "10001", "--k", "5000"),
-        ("resistance", "straight", "--n", "10001"),
-        ("reduce", "bent", "10001", "5000"),
+        ("resistance", "bent", "--n", "40001", "--k", "20000"),
+        ("resistance", "straight", "--n", "20001"),
+        ("reduce", "bent", "40001", "20000"),
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert out == ""
-        assert "engine is guarded at n <= 10000, got n = 10001" in err
+        assert "engine " in err and "MAX_SWEEP_COST" in err
     code, out, _ = run_cli(
-        capsys, "resistance", "bent", "--n", "10001", "--k", "5000", "--methods", "product", "--format", "json"
+        capsys, "resistance", "bent", "--n", "40001", "--k", "20000", "--methods", "product", "--format", "json"
     )
     assert code == 0
-    assert json.loads(out)["exact"] == ratio_string(bent_resistance_product(BentParams(10001, 5000)))
+    assert json.loads(out)["exact"] == ratio_string(bent_resistance_product(BentParams(40001, 20000)))
 
 
 @pytest.mark.parametrize(
     "argv, closed_forms",
     [
-        (("resistance", "bent", "--n", "20000", "--k", "10000"), "alternating,product"),
+        (("resistance", "bent", "--n", "100000", "--k", "50000"), "alternating,product"),
         (("resistance", "straight", "--n", "20000"), "formula"),
-        (("sweep", "straight", "--n", "10001:10001"), "formula"),
+        (("sweep", "straight", "--n", "20000:20000"), "formula"),
     ],
 )
 def test_refused_default_query_names_methods(capsys, argv, closed_forms):
@@ -681,7 +708,7 @@ def test_refused_default_query_names_methods(capsys, argv, closed_forms):
     assert time.perf_counter() - start < 1
     assert code == 2
     assert out == ""
-    assert "engine is guarded at n <= 10000" in err
+    assert "engine " in err and "MAX_SWEEP_COST" in err
     assert f"--methods {closed_forms}" in err
 
 
@@ -703,17 +730,17 @@ def test_oversized_requests_are_refused_before_any_route(capsys):
     for argv in (
         ("resistance", "bent", "--n", "100000", "--k", "50000"),
         ("resistance", "straight", "--n", "100000"),
-        ("resistance", "bent", "--n", "2001", "--k", "1000", "--methods", "alternating,exact"),
+        ("resistance", "bent", "--n", "20000", "--k", "10000", "--methods", "alternating,exact"),
         ("sweep", "bent", "--n", "100000:100000", "--k-policy", "center"),
-        ("sweep", "bent", "--n", "9990:10001", "--k-policy", "center"),
-        ("sweep", "straight", "--n", "1990:2001", "--methods", "formula,float"),
+        ("sweep", "bent", "--n", "19990:20001", "--k-policy", "center"),
+        ("sweep", "straight", "--n", "19990:20001", "--methods", "formula,exact"),
     ):
         start = time.perf_counter()
         code, out, err = run_cli(capsys, *argv)
         assert time.perf_counter() - start < 1, argv
         assert code == 2, argv
         assert out == ""
-        assert "guarded at n <=" in err
+        assert "MAX_SWEEP_COST" in err
 
 
 @pytest.mark.parametrize(
@@ -765,43 +792,30 @@ def _probe(argvs):
     return json.loads(proc.stdout)
 
 
-def test_no_command_loads_numpy():
-    imported, default_bent, interior, reduce_, refused, everything = _probe([
-        ["resistance", "bent", "--n", "8", "--k", "4", "--format", "json"],
-        ["resistance", "straight", "--n", "12", "--i", "2", "--j", "9", "--format", "json"],
-        ["reduce", "bent", "8", "4"],
-        ["resistance", "straight", "--n", "2001", "--i", "2", "--j", "9", "--methods", "float"],
-        ["resistance", "bent", "--n", "8", "--k", "4", "--methods", "all", "--format", "json"],
-    ])
-    assert "numpy" not in imported[2]
-    for _, code, loaded, _ in (default_bent, interior, reduce_):
-        assert code == 0
-        assert "numpy" not in loaded
-    assert "exact" in json.loads(interior[3])["methods"]
-    assert refused[1] == 2 and "numpy" not in refused[2]
-    _, code, loaded, out = everything
-    assert code == 0
-    assert "numpy" not in loaded
-    record = json.loads(out)
-    assert "float" in record["methods"] and record["agree"] is True
-
-
 def test_queries_never_load_the_catalogue():
     # Only `verify` needs twotree.identities, and no value class is a
     # dataclass, so a query never pays for dataclasses and inspect either.
-    *queries, verify = _probe([
+    # numpy is blocked, so a route that imported it would fail.
+    *queries, interior, everything, refused, verify = _probe([
         ["resistance", "bent", "--n", "8", "--k", "4"],
         ["resistance", "straight", "--n", "12"],
-        ["resistance", "straight", "--n", "12", "--i", "2", "--j", "9"],
         ["sweep", "bent", "--n", "6:10"],
+        ["reduce", "bent", "8", "4"],
         ["reduce", "straight", "9", "--emit-log"],
+        ["resistance", "straight", "--n", "12", "--i", "2", "--j", "9", "--format", "json"],
+        ["resistance", "bent", "--n", "8", "--k", "4", "--methods", "all", "--format", "json"],
+        ["resistance", "straight", "--n", "20000000", "--i", "2", "--j", "9", "--methods", "float"],
         ["verify", "--profile", "small"],
     ])
-    for argv, code, loaded, _ in queries:
+    for argv, code, loaded, _ in queries + [interior, everything]:
         assert code in (None, 0), argv
         assert loaded == [], argv
+    assert "exact" in json.loads(interior[3])["methods"]
+    record = json.loads(everything[3])
+    assert "float" in record["methods"] and record["agree"] is True
+    assert refused[1:] == [2, [], ""]
     assert verify[1] == 0
-    assert "twotree.identities" in verify[2]
+    assert "twotree.identities" in verify[2] and "numpy" not in verify[2]
 
 
 def test_package_serves_the_catalogue_on_access():

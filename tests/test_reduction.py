@@ -26,7 +26,14 @@ from twotree import (
     straight_pair_resistance,
 )
 from twotree import cli, rational, reduction
-from twotree.reduction import ReductionState, TailTriple, _chain_branches, _collapse_to_single_edge, delta_y
+from twotree.reduction import (
+    ReductionState,
+    TailTriple,
+    _chain_branches,
+    _collapse_to_single_edge,
+    delta_y,
+    engine_work,
+)
 
 
 def test_delta_y_symmetric_triangle():
@@ -651,10 +658,14 @@ def test_final_collapse_checks_the_tail_bookkeeping():
         _collapse_to_single_edge(ReductionState(straight_2tree(3), 1, 3), Fraction(1))
 
 def test_engine_guard_admits_n_up_to_the_bound(monkeypatch):
-    monkeypatch.setattr("twotree.reduction.ENGINE_VERTEX_GUARD", 12)
+    # A bound at the straight chain of 12 vertices admits every chain up to
+    # it and none past it, before the chain is built.
+    monkeypatch.setattr("twotree.graphs.MAX_SWEEP_COST", engine_work(12, 12))
     assert reduce_bent(12, 5)[0] == bent_resistance_product(BentParams(12, 5))
     assert reduce_straight_state(12)[0] == straight_pair_resistance(10, 1, 11)
-    with pytest.raises(GraphError, match="guarded at n <= 12, got n = 13"):
+    monkeypatch.setattr("twotree.reduction.bent_2tree", lambda *args: pytest.fail("a chain was built"))
+    monkeypatch.setattr("twotree.reduction.straight_2tree", lambda *args: pytest.fail("a chain was built"))
+    with pytest.raises(GraphError, match=r"engine on a chain of 13 vertices bent at 5 is about 7\.3e\+5 units"):
         reduce_bent(13, 5)
-    with pytest.raises(GraphError, match="guarded at n <= 12, got n = 13"):
+    with pytest.raises(GraphError, match="engine on a straight chain of 13 vertices"):
         reduce_straight_state(13)

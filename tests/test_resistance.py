@@ -249,17 +249,35 @@ def test_float_refuses_a_wide_band_up_front():
     assert resistance_float(chain, 1, n) > 0
 
 
-def test_float_guard():
-    class FakeBig:
-        n = 5000
+def _shuffled_straight_chain(n):
+    label = list(range(1, n + 1))
+    random.Random(5).shuffle(label)
+    return WeightedGraph(n, [(label[a - 1], label[b - 1], w) for a, b, w in straight_2tree(n).edges]), label
 
-    with pytest.raises(GraphError):
-        resistance_float(FakeBig(), 1, 2)
+
+def test_exact_refuses_a_shuffled_chain_up_front(monkeypatch):
+    # Shuffled labels make the envelope nearly dense: about 0.1 s at n = 200,
+    # while at n = 2000 the work is priced over the bound from the edge list,
+    # before any row is built or the connectivity check runs.
+    g, label = _shuffled_straight_chain(200)
+    assert resistance_exact(g, label[0], label[-1]) == straight_pair_resistance(198, 1, 199)
+    g, label = _shuffled_straight_chain(2000)
+    monkeypatch.setattr("twotree.resistance._envelope_solve", lambda *args: pytest.fail("the envelope was solved"))
+    monkeypatch.setattr("twotree.resistance.accumulate", lambda *args: pytest.fail("envelope rows were built"))
+    monkeypatch.setattr(WeightedGraph, "is_connected", lambda self: pytest.fail("connectivity was checked"))
+    start = time.perf_counter()
+    with pytest.raises(GraphError, match="exact oracle on 2000 vertices .* over MAX_SWEEP_COST"):
+        resistance_exact(g, label[1], label[-2])
+    assert time.perf_counter() - start < 1.0
+
+
+def test_float_guard():
+    # A billion isolated vertices: priced from the edge list, before the
+    # connectivity check would walk them.
+    with pytest.raises(GraphError, match="float oracle on 1000000000 vertices"):
+        resistance_float(WeightedGraph(10**9, []), 1, 2)
 
 
 def test_exact_guard():
-    class FakeBig:
-        n = 2001
-
-    with pytest.raises(GraphError):
-        resistance_exact(FakeBig(), 1, 2)
+    with pytest.raises(GraphError, match="exact oracle on 1000000000 vertices"):
+        resistance_exact(WeightedGraph(10**9, []), 1, 2)
