@@ -792,28 +792,41 @@ def _probe(argvs):
     return json.loads(proc.stdout)
 
 
+def test_no_command_loads_numpy():
+    imported, default_bent, interior, reduce_, refused, everything = _probe([
+        ["resistance", "bent", "--n", "8", "--k", "4", "--format", "json"],
+        ["resistance", "straight", "--n", "12", "--i", "2", "--j", "9", "--format", "json"],
+        ["reduce", "bent", "8", "4"],
+        ["resistance", "straight", "--n", "20000000", "--i", "2", "--j", "9", "--methods", "float"],
+        ["resistance", "bent", "--n", "8", "--k", "4", "--methods", "all", "--format", "json"],
+    ])
+    assert "numpy" not in imported[2]
+    for _, code, loaded, _ in (default_bent, interior, reduce_):
+        assert code == 0
+        assert "numpy" not in loaded
+    assert "exact" in json.loads(interior[3])["methods"]
+    assert refused[1] == 2 and "numpy" not in refused[2]
+    _, code, loaded, out = everything
+    assert code == 0
+    assert "numpy" not in loaded
+    record = json.loads(out)
+    assert "float" in record["methods"] and record["agree"] is True
+
+
 def test_queries_never_load_the_catalogue():
     # Only `verify` needs twotree.identities, and no value class is a
     # dataclass, so a query never pays for dataclasses and inspect either.
-    # numpy is blocked, so a route that imported it would fail.
-    *queries, interior, everything, refused, verify = _probe([
+    *queries, verify = _probe([
         ["resistance", "bent", "--n", "8", "--k", "4"],
         ["resistance", "straight", "--n", "12"],
+        ["resistance", "straight", "--n", "12", "--i", "2", "--j", "9"],
         ["sweep", "bent", "--n", "6:10"],
-        ["reduce", "bent", "8", "4"],
         ["reduce", "straight", "9", "--emit-log"],
-        ["resistance", "straight", "--n", "12", "--i", "2", "--j", "9", "--format", "json"],
-        ["resistance", "bent", "--n", "8", "--k", "4", "--methods", "all", "--format", "json"],
-        ["resistance", "straight", "--n", "20000000", "--i", "2", "--j", "9", "--methods", "float"],
         ["verify", "--profile", "small"],
     ])
-    for argv, code, loaded, _ in queries + [interior, everything]:
+    for argv, code, loaded, _ in queries:
         assert code in (None, 0), argv
         assert loaded == [], argv
-    assert "exact" in json.loads(interior[3])["methods"]
-    record = json.loads(everything[3])
-    assert "float" in record["methods"] and record["agree"] is True
-    assert refused[1:] == [2, [], ""]
     assert verify[1] == 0
     assert "twotree.identities" in verify[2] and "numpy" not in verify[2]
 
