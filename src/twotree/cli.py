@@ -15,7 +15,6 @@ import csv
 import io
 import itertools
 import json
-import math
 import sys
 from fractions import Fraction
 from typing import Optional
@@ -53,66 +52,74 @@ class UsageError(ValueError):
 class _Route:
     """call(n, k, i, j, chain) gives the value; cost(n, k) is the work of one
     record by the work function of the route's module, about 1 ns a unit,
-    summed over a batch against MAX_SWEEP_COST.  An ends_only route answers
-    only the end pair (1, n).  A route is a default for (1, n) if
-    default_at_ends, and for other pairs while n <= default_inside_up_to.
-    An oracle runs on the chain the oracles share.
+    summed over a batch against MAX_SWEEP_COST.
     """
 
-    __slots__ = ("call", "cost", "ends_only", "default_at_ends", "default_inside_up_to", "oracle")
+    __slots__ = ("call", "cost")
 
-    def __init__(self, call, cost, ends_only, default_at_ends, default_inside_up_to, oracle):
-        self.call, self.cost, self.ends_only = call, cost, ends_only
-        self.default_at_ends, self.default_inside_up_to, self.oracle = default_at_ends, default_inside_up_to, oracle
+    def __init__(self, call, cost):
+        self.call, self.cost = call, cost
 
 
 # Every route of the CLI.  A call looks its function up in this module when it
-# runs, so a wrapper or stub set here reaches it.  The straight engine reduces
-# the whole chain, so it only gives r(1, n).  The oracles price a chain by its
-# grounded Laplacian: half-bandwidth 3 with a bend and 2 without, and mean
+# runs, so a wrapper or stub set here reaches it.  The oracles price a chain by
+# its grounded Laplacian: half-bandwidth 3 with a bend and 2 without, and mean
 # degree 4 - 6/n, rounded up.  tests/check_prices.py times every route
 # against its price.
 _ROUTES = {
     ("bent", "alternating"): _Route(
         lambda n, k, i, j, g: bent_resistance_alternating(BentParams(n, k)),
-        lambda n, k: closed_form_work(n), False, True, 0, False),
+        lambda n, k: closed_form_work(n)),
     ("bent", "product"): _Route(
         lambda n, k, i, j, g: bent_resistance_product(BentParams(n, k)),
-        lambda n, k: closed_form_work(n), False, False, 0, False),
+        lambda n, k: closed_form_work(n)),
     ("bent", "engine"): _Route(
         lambda n, k, i, j, g: reduce_bent(n, k, keep_log=False)[0],
-        engine_work, True, True, 0, False),
+        engine_work),
     ("bent", "exact"): _Route(
         lambda n, k, i, j, g: resistance_exact(g, i, j),
-        lambda n, k: exact_work(n, 3, 4), False, False, 0, True),
+        lambda n, k: exact_work(n, 3, 4)),
     ("bent", "float"): _Route(
         lambda n, k, i, j, g: resistance_float(g, i, j),
-        lambda n, k: float_work(n, 3), False, False, 0, True),
+        lambda n, k: float_work(n, 3)),
     ("straight", "formula"): _Route(
         lambda n, k, i, j, g: straight_pair_resistance(n - 2, i, j - i),
-        lambda n, k: closed_form_work(n), False, True, math.inf, False),
+        lambda n, k: closed_form_work(n)),
     ("straight", "engine"): _Route(
         lambda n, k, i, j, g: reduce_straight_state(n, keep_log=False)[0],
-        lambda n, k: engine_work(n, n), True, True, 0, False),
+        lambda n, k: engine_work(n, n)),
     ("straight", "exact"): _Route(
         lambda n, k, i, j, g: resistance_exact(g, i, j),
-        lambda n, k: exact_work(n, 2, 4), False, False, ORACLE_DEFAULT_CUTOFF, True),
+        lambda n, k: exact_work(n, 2, 4)),
     ("straight", "float"): _Route(
         lambda n, k, i, j, g: resistance_float(g, i, j),
-        lambda n, k: float_work(n, 2), False, False, 0, True),
+        lambda n, k: float_work(n, 2)),
 }
+# The engine reduces the whole chain, so it only gives r(1, n).
+ENDS_ONLY = {"engine"}
+# The oracles share the one chain that build_record builds.
+ORACLES = {"exact", "float"}
+
+
+def _default_methods(family: str, n: int, ends: bool) -> list[str]:
+    """The routes a query runs unless --methods names others: the closed form
+    and the engine at (1, n); for another pair, which only a straight chain
+    has, `formula`, plus `exact` while n <= ORACLE_DEFAULT_CUTOFF."""
+    if ends:
+        return ["alternating" if family == "bent" else "formula", "engine"]
+    return ["formula", "exact"] if n <= ORACLE_DEFAULT_CUTOFF else ["formula"]
 
 
 def _applicable_routes(family: str, ends: bool) -> dict[str, _Route]:
-    return {tag: r for (fam, tag), r in _ROUTES.items() if fam == family and (ends or not r.ends_only)}
+    return {tag: r for (fam, tag), r in _ROUTES.items() if fam == family and (ends or tag not in ENDS_ONLY)}
 
 
 def _resolve_methods(requested: Optional[str], family: str, n: int, i: int, j: int) -> list[str]:
     """The routes a query runs; refuses any inapplicable or repeated one."""
     ends = (i, j) == (1, n)
-    routes = _applicable_routes(family, ends)
     if requested is None or requested == "default":
-        return [t for t, r in routes.items() if (r.default_at_ends if ends else n <= r.default_inside_up_to)]
+        return _default_methods(family, n, ends)
+    routes = _applicable_routes(family, ends)
     if requested == "all":
         return list(routes)
     chosen = [m.strip() for m in requested.split(",") if m.strip()]
@@ -156,7 +163,7 @@ def build_record(
     digits: int,
 ) -> dict:
     graph = None
-    if any(_ROUTES[family, tag].oracle for tag in methods):
+    if not ORACLES.isdisjoint(methods):
         graph = bent_2tree(n, k) if family == "bent" else straight_2tree(n)
     values: dict[str, Fraction | float] = {}
     for tag in methods:

@@ -55,7 +55,7 @@ def cases():
         for n, k in points:
             if route.cost(n, k) > MAX_SWEEP_COST:
                 continue
-            if family == "bent" or route.ends_only:
+            if family == "bent" or tag in cli.ENDS_ONLY:
                 yield family, tag, n, k, 1, n
             else:
                 yield family, tag, n, k, 2, n - 1

@@ -232,6 +232,20 @@ def test_reduce_bent_log_counts(capsys):
     assert set(record) == set(json.loads(out.strip()))
 
 
+@pytest.mark.parametrize("fmt", ["csv", "text"])
+def test_reduce_step_log_is_json_lines_in_every_format(capsys, fmt):
+    # The record comes first in the chosen format; the step log stays JSON lines.
+    code, out, err = run_cli(capsys, "reduce", "bent", "8", "4", "--emit-log", "--format", fmt)
+    assert (code, err) == (0, "")
+    _, plain, _ = run_cli(capsys, "reduce", "bent", "8", "4", "--format", fmt)
+    _, logged, _ = run_cli(capsys, "reduce", "bent", "8", "4", "--emit-log", "--format", "json")
+    assert out.startswith(plain)
+    assert "22/13" in plain and len(plain.splitlines()) == (2 if fmt == "csv" else 1)
+    steps = out[len(plain):].splitlines()
+    assert steps == logged.splitlines()[1:] and len(steps) > 5
+    assert [json.loads(step)["index"] for step in steps] == list(range(1, len(steps) + 1))
+
+
 def test_reduce_file_round_trip(capsys, tmp_path):
     path = tmp_path / "bent.txt"
     for n, k in [(8, 4), (6, 3), (12, 9), (600, 597)]:
@@ -309,6 +323,8 @@ def test_k_policy_applies_to_bent_sweeps_only(capsys):
         (("straight", "--n", "8"), ["formula", "engine"]),
         (("straight", "--n", str(cli.ORACLE_DEFAULT_CUTOFF), "--i", "2", "--j", "150"), ["formula", "exact"]),
         (("straight", "--n", str(cli.ORACLE_DEFAULT_CUTOFF + 1), "--i", "2", "--j", "150"), ["formula"]),
+        (("straight", "--n", str(cli.ORACLE_DEFAULT_CUTOFF + 1)), ["formula", "engine"]),
+        (("straight", "--n", "12", "--i", "2", "--j", "9", "--methods", "all"), ["formula", "exact", "float"]),
     ],
 )
 def test_default_methods(capsys, argv, methods):
