@@ -178,10 +178,11 @@ class ReductionState:
     Mutable only through the rewrite methods below; once the driver returns,
     treat the state as a read-only audit record.  Edge values are
     resistances (the reciprocal of graph weights) as int pairs in lowest
-    terms.  The step log is the only record of the rewrites: it holds plain
-    tuples until read, and the tail lists are views of its star transforms.
-    With keep_log=False no rewrite is recorded, so the log and both tail
-    lists stay empty; an observer reads the log, so it needs keep_log=True.
+    terms.  The step log is the only record of the rewrites: each record is
+    built as its rewrite happens, with one `Fraction` per value across the
+    log, and the tail lists are views of its star transforms.  With
+    keep_log=False no rewrite is recorded, so the log and both tail lists
+    stay empty; an observer is handed each record, so it needs keep_log=True.
     """
 
     def __init__(
@@ -195,8 +196,10 @@ class ReductionState:
         _check_log_request(observer, keep_log)
         self.source = source
         self.sink = sink
-        self._log = []
+        self.log: list[StepRecord] = []
         self._keep_log = keep_log
+        # A branch recurs in later records, so equal values share one Fraction.
+        self._fractions = cache(_fraction)
         self._steps = 0
         self._adj = {v: {} for v in range(1, graph.n + 1)}
         for i, j, w in graph.edges:
@@ -208,23 +211,6 @@ class ReductionState:
         self._observer = observer
 
     # -- inspection ---------------------------------------------------------
-
-    @property
-    def log(self) -> list[StepRecord]:
-        """The step log; its raw entries (plain tuples, always a suffix) become records in place.
-
-        A branch recurs in later records, so a pass builds one `Fraction` per value.
-        Empty when the state keeps no log.
-        """
-        log = self._log
-        start = len(log)
-        while start and type(log[start - 1]) is tuple:
-            start -= 1
-        fraction = cache(_fraction)
-        for i in range(start, len(log)):
-            index, side, kind, nodes, inputs, outputs = log[i]
-            log[i] = StepRecord(index, side, kind, nodes, tuple(map(fraction, inputs)), tuple(map(fraction, outputs)))
-        return log
 
     def _tails(self, side: str) -> list[TailTriple]:
         # Tail j is the side's j-th star transform, whose outputs are (b, s, t).
@@ -269,22 +255,22 @@ class ReductionState:
 
     # -- elementary rewrites --------------------------------------------------
 
-    def _emit(self, side: str, kind: str, nodes, inputs, outputs) -> tuple:
+    def _emit(self, side: str, kind: str, nodes, inputs, outputs) -> None:
         self._steps = index = self._steps + 1
-        entry = (index, side, kind, nodes, inputs, outputs)
         if self._keep_log:
-            self._log.append(entry)
+            fraction = self._fractions
+            record = StepRecord(index, side, kind, nodes, tuple(map(fraction, inputs)), tuple(map(fraction, outputs)))
+            self.log.append(record)
             if self._observer is not None:
-                self._observer(self, self.log[-1])
-        return entry
+                self._observer(self, record)
 
-    def apply_delta_y(self, anchor: int, middle: int, far: int, side: str) -> tuple[int, tuple]:
+    def apply_delta_y(self, anchor: int, middle: int, far: int, side: str) -> tuple[int, tuple, tuple]:
         """Transform the triangle (anchor, middle, far) of a unit chain into a star.
 
         The base middle-far must have resistance 1, and the branches come
         from `_chain_branches`; a triangle off the chain raises
-        ReductionError.  Returns the star and the raw log entry, whose
-        outputs are the int pairs (b, s, t) of the tail.
+        ReductionError.  Returns the star, the int pairs of the triangle
+        and the star's branches, which are the tail's (b, s, t).
         """
         adj = self._adj
         try:
@@ -304,7 +290,9 @@ class ReductionState:
         at_anchor[star] = r_3
         at_middle[star] = r_2
         at_far[star] = r_1
-        return star, self._emit(side, "delta_y", (anchor, middle, far, star), (r_a, r_b, r_c), (r_1, r_2, r_3))
+        inputs, outputs = (r_a, r_b, r_c), (r_1, r_2, r_3)
+        self._emit(side, "delta_y", (anchor, middle, far, star), inputs, outputs)
+        return star, inputs, outputs
 
     def merge_series_at(self, v: int, side: str) -> tuple[int, int]:
         """Replace the two resistors through a degree-2 vertex by their sum.
@@ -387,8 +375,9 @@ def _run_side(
     anchor, middle = terminal, inward
     ts = []
     for j in range(1, steps + 1):
-        star, entry = state.apply_delta_y(anchor, middle, far, side)
-        ts.append(entry[5][2])  # the outputs are (b, s, t)
+        star, inputs, outputs = state.apply_delta_y(anchor, middle, far, side)
+        index = state._steps
+        ts.append(outputs[2])  # the outputs are (b, s, t)
         if j == steps and not merge_last:
             break
         u, w = state.merge_series_at(middle, side)
@@ -396,7 +385,6 @@ def _run_side(
     # The tail-bookkeeping check cannot see a wrong tail t, since the chain
     # it walks holds the same t pairs the log does; checking the side's last
     # transform against the textbook `delta_y` can, at O(1) big-integer work.
-    index, _, _, _, inputs, outputs = entry
     b, s, t = map(_fraction, outputs)
     if (b, s, t) != delta_y(*map(_fraction, inputs)):
         raise ReductionError(f"star transform {index} disagrees with delta_y")

@@ -33,7 +33,7 @@ _lucas_table = _recurrence_table(2, 1)
 
 
 def index_limit() -> int:
-    """Largest |index| the sequence cache will serve (env-overridable)."""
+    """Largest |index| `fib` and `lucas` serve: TWO_TREE_CACHE_LIMIT, else DEFAULT_INDEX_LIMIT."""
     raw = os.environ.get(ENV_CACHE_LIMIT)
     if raw is None:
         return DEFAULT_INDEX_LIMIT
@@ -49,7 +49,7 @@ def index_limit() -> int:
 def _check_index(n: int) -> None:
     limit = index_limit()
     if abs(n) > limit:
-        raise ValueError(f"sequence index {n} exceeds the cache limit {limit}")
+        raise ValueError(f"sequence index {n} is past {ENV_CACHE_LIMIT} = {limit}")
 
 
 def _fib_pair(r: int) -> tuple[int, int]:

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,6 +13,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twotree import (
     REGISTRY,
@@ -331,6 +334,41 @@ def test_default_methods(capsys, argv, methods):
     code, out, err = run_cli(capsys, "resistance", *argv, "--format", "json")
     assert (code, err) == (0, "")
     assert list(json.loads(out)["methods"]) == methods
+
+
+# Routes priced at most this run on every drawn chain: about a third of a
+# second each, so the engine to about 2400 vertices, `exact` to about 1400
+# and `float` past 10^4.
+ROUTE_PRICE_BOUND = 300_000_000
+
+
+def _log_uniform(low, high=20_000):
+    return st.floats(math.log(low), math.log(high)).map(lambda x: min(high, max(low, round(math.exp(x)))))
+
+
+@st.composite
+def _chain_queries(draw):
+    """A bent (n, k) at its ends, or a straight (n, i, j), ends half the time."""
+    if draw(st.booleans()):
+        n = draw(_log_uniform(6))
+        return "bent", n, draw(st.integers(3, n - 3)), 1, n
+    n = draw(_log_uniform(3))
+    if draw(st.booleans()):
+        return "straight", n, None, 1, n
+    i = draw(st.integers(1, n - 1))
+    return "straight", n, None, i, draw(st.integers(i + 1, n))
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(query=_chain_queries())
+def test_every_route_within_its_price_agrees(query):
+    family, n, k, i, j = query
+    routes = cli._applicable_routes(family, (i, j) == (1, n))
+    methods = [tag for tag, route in routes.items() if route.cost(n, k) <= ROUTE_PRICE_BOUND]
+    record = cli.build_record("resistance", family, n, k, i, j, methods, 12)
+    assert list(record["methods"]) == methods
+    if len(methods) >= 2:
+        assert record["agree"] is True, (query, methods)
 
 
 @pytest.mark.parametrize(

@@ -147,11 +147,11 @@ def _plain_tails(steps):
 
 
 def test_records_are_the_same_however_they_are_read():
-    # The engine keeps int tuples and builds records when they are read: for
-    # an observer as each step happens, otherwise on the first read.  This
-    # observer also reads the log and the tails mid-run, so they are built
-    # piece by piece while the engine keeps appending to them.  The log's
-    # values are checked in test_step_log_values_are_in_lowest_terms_small.
+    # The engine builds each record as it writes it, and an observer is
+    # handed the very record the log holds.  This observer also reads the
+    # log and the tails mid-run, while the engine keeps appending to them.
+    # The log's values are checked in
+    # test_step_log_values_are_in_lowest_terms_small.
     plain = _plain_tails(58)
     runs = [(reduce_bent, (n, k), k - 2, n - k - 1) for n in range(6, 41) for k in range(3, n - 2)]
     runs += [(reduce_straight_state, (n,), n - 2, 0) for n in range(3, 61)]
@@ -183,6 +183,22 @@ def test_records_are_the_same_however_they_are_read():
                 for q in tail[1:]:
                     assert type(q) is Fraction and q.denominator > 0, (args, tail)
                     assert gcd(q.numerator, q.denominator) == 1, (args, tail)
+
+
+@pytest.mark.parametrize("run, args", [(reduce_bent, (40, 17)), (reduce_straight_state, (40,))])
+@pytest.mark.parametrize("watched", [False, True], ids=["unwatched", "watched"])
+def test_each_log_value_is_one_fraction(run, args, watched):
+    # A branch recurs in later records: as the next transform's input, in a
+    # series merge and as a tail.  Equal values across the whole log must be
+    # one object, whether or not an observer takes each record as it is made.
+    received = []
+    _, state = run(*args, observer=(lambda state, record: received.append(record)) if watched else None)
+    assert received == (state.log if watched else [])
+    first = {}
+    for record in state.log:
+        for q in record.inputs + record.outputs:
+            assert first.setdefault(q, q) is q, (record, q)
+    assert len(first) < sum(len(r.inputs) + len(r.outputs) for r in state.log)
 
 
 def test_a_run_without_its_log_gives_the_same_value():
@@ -371,13 +387,13 @@ def test_an_anchor_edge_other_than_its_tail_is_refused(monkeypatch, capsys, end)
     real = ReductionState.apply_delta_y
 
     def tampered(self, anchor, middle, far, side):
-        star, entry = real(self, anchor, middle, far, side)
-        num, den = entry[5][2]
+        star, inputs, outputs = real(self, anchor, middle, far, side)
+        num, den = outputs[2]
         if end == "anchor":
             self._adj[anchor][star] = (num + den, den)
         else:
             self._adj[star][anchor] = (num + den, den)
-        return star, entry
+        return star, inputs, outputs
 
     monkeypatch.setattr(ReductionState, "apply_delta_y", tampered)
     runs = [(reduce_bent, (40, 17)), (reduce_bent, (8, 3)), (reduce_straight_state, (40,)), (reduce_straight_state, (3,))]

@@ -155,6 +155,22 @@ def test_concurrent_readers_consistent():
             assert value == fib(n)
 
 
+def test_default_index_limit(monkeypatch):
+    # Past the bound, fib and lucas refuse before any doubling starts.
+    monkeypatch.delenv(ENV_CACHE_LIMIT, raising=False)
+    assert index_limit() == 2_000_000
+
+    def never(r):
+        pytest.fail(f"index {r} was computed")
+
+    monkeypatch.setattr(sequences, "_fib_pair", never)
+    monkeypatch.setattr(sequences, "_lucas_pair", never)
+    with pytest.raises(ValueError, match=r"^sequence index 2000001 is past TWO_TREE_CACHE_LIMIT = 2000000$"):
+        fib(2_000_001)
+    with pytest.raises(ValueError, match=r"^sequence index -2000001 is past TWO_TREE_CACHE_LIMIT = 2000000$"):
+        lucas(-2_000_001)
+
+
 def test_cache_limit_env(monkeypatch):
     monkeypatch.setenv(ENV_CACHE_LIMIT, "100")
     assert index_limit() == 100
