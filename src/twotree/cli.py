@@ -17,6 +17,7 @@ import itertools
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 from typing import Optional
 
 from .formulas import (
@@ -414,7 +415,10 @@ def _cmd_reduce(args, out) -> int:
     return 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on first use and shared by every later `main`
+    call in the process; it holds no state of a parse."""
     parser = argparse.ArgumentParser(
         prog="twotree",
         description="Exact resistance distance in straight and bent linear 2-trees.",
@@ -467,9 +471,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     out = sys.stdout

@@ -48,12 +48,16 @@ def _add_pairs(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
     da <= db, when da divides db, t = na*(db/da) + nb shares no factor with
     db/da (gcd(nb, db) = 1), so one exact division of t by da, or else one
     gcd(t, da), reduces the sum; partial sums of chain tails take this case.
-    Otherwise the two gcds of the general case run.
+    When da is 1 (an int, such as a unit chain edge), na*db + nb over db
+    is already reduced, and no division runs.  Otherwise the two gcds of
+    the general case run.
     """
     na, da = a
     nb, db = b
     if da > db:
         na, da, nb, db = nb, db, na, da
+    if da == 1:
+        return na * db + nb, db
     m, rest = divmod(db, da)
     if not rest:
         t = na * m + nb

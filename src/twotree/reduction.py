@@ -20,7 +20,7 @@ from functools import cache
 from math import gcd
 from typing import Callable, NamedTuple, Optional
 
-from .graphs import WeightedGraph, bent_2tree, check_work, straight_2tree
+from .graphs import _UNIT as _UNIT_WEIGHT, WeightedGraph, bent_2tree, check_work, straight_2tree
 from .rational import _add_pairs, _coprime_fraction, as_rational, parallel_combine, ratio_string, series_combine
 
 
@@ -30,7 +30,8 @@ def engine_work(n: int, k: int) -> int:
     About 5 us a vertex up to a few hundred vertices; past a few thousand a
     side's big-integer work grows as the cube of its length.  Fitted at 15 us
     a vertex, above centre, edge and straight runs at n = 6 to 3000 and
-    10,000 (a centred bend at 20,000: 7.6 s, priced 42 s), log kept or not.
+    10,000 (a centred bend at 20,000: 4.7-5.2 s, priced 42 s; a straight
+    chain at 10,000: 2.3-2.8 s, priced 17 s), log kept or not.
     """
     return 200_000 + 40_000 * n + 40 * n * n + (k**3 + (n - k) ** 3) // 80
 
@@ -67,10 +68,11 @@ def _chain_branches(a: tuple[int, int], b: tuple[int, int]) -> tuple[tuple[int, 
     denominator D as P = a*D and R = b*D, so that S = P + R + D =
     (a + b + 1)*D; the branches are x = b/(a + b + 1) = R/S,
     y = P/S and t = a*b/(a + b + 1) = x*a.  On a unit chain q divides u, so
-    D = u, P = p*(u/q) and R = r.  One gcd g = gcd(R, S) reduces x;
-    y = P/S and t = (R/g * p)/(S/g * q) are already in lowest terms and are
-    built without a gcd.  When q does not divide u, the triangle is not one
-    of a unit chain and ReductionError is raised.
+    D = u, P = p*(u/q) and R = r.  One gcd g = gcd(R, S), taken as
+    gcd(R, p + q) (last paragraph), reduces x; y = P/S and
+    t = (R/g * p)/(S/g * q) are already in lowest terms and are built
+    without a gcd.  When q does not divide u, the triangle is not one of a
+    unit chain and ReductionError is raised.
 
     Proof on a unit chain.  Transform 1 sees a = b = c = 1.  Transform j+1
     sees c = 1, a = x_j (the far branch of star j, now the edge from star j
@@ -97,7 +99,16 @@ def _chain_branches(a: tuple[int, int], b: tuple[int, int]) -> tuple[tuple[int, 
       x_j and a are in lowest terms themselves, so t_j is too.
 
     Both sides of a bent chain walk the same way from their terminals, so
-    the same holds there.  The Fibonacci numbers appear only in this proof.
+    the same holds there.
+
+    The one gcd is taken on operands of half the size.  With m = D/q,
+    b = R/D is in lowest terms and m divides D, so gcd(R, m) = 1; as
+    S = m*(p + q) + R, g = gcd(R, S) = gcd(R, p + q) and
+    S/g = m*((p + q)/g) + R/g, on any input, not only a chain's.  On a unit
+    chain g_j = gcd(F_{j+1}^2, F_{j+1} L_{j+1}) is F_{j+1} or 2 F_{j+1},
+    so q = S_j/g_j and m = g_j have about half the bits of S_{j+1}, and
+    (p + q)/g is a few bits long.  The Fibonacci and Lucas numbers appear
+    only in these proofs.
     """
     p, q = a
     big_r, d = b
@@ -107,10 +118,11 @@ def _chain_branches(a: tuple[int, int], b: tuple[int, int]) -> tuple[tuple[int, 
             f"chain invariant broken: denominator {q} of r_a does not divide denominator {d} of r_b"
         )
     big_p = p * m
-    total = big_p + big_r + d
-    g = gcd(big_r, total)
-    r_g, s_g = big_r // g, total // g
-    return (r_g, s_g), (big_p, total), (r_g * p, s_g * q)
+    p_q = p + q
+    g = gcd(big_r, p_q)
+    r_g = big_r // g
+    s_g = m * (p_q // g) + r_g
+    return (r_g, s_g), (big_p, big_p + big_r + d), (r_g * p, s_g * q)
 
 
 class TailTriple(namedtuple("TailTriple", ("j", "t", "s", "b"))):
@@ -203,8 +215,9 @@ class ReductionState:
         self._steps = 0
         self._adj = {v: {} for v in range(1, graph.n + 1)}
         for i, j, w in graph.edges:
-            # A unit weight is its own resistance; the chain builders share one.
-            r = _UNIT if w == 1 else (w.denominator, w.numerator)
+            # The chain builders share one unit weight, told apart without a
+            # Fraction comparison; it is its own resistance.
+            r = _UNIT if w is _UNIT_WEIGHT else (w.denominator, w.numerator)
             self._adj[i][j] = r
             self._adj[j][i] = r
         self._next_label = graph.n

@@ -867,6 +867,45 @@ def test_no_command_loads_numpy():
     assert "float" in record["methods"] and record["agree"] is True
 
 
+# Runs each argv in turn in one fresh interpreter, so every call after the
+# first is parsed by the parser the first one built; it prints each call's
+# exit code, stdout and stderr.
+_SHARED_PARSER_PROBE = """
+import contextlib, io, json, sys
+from twotree.cli import main
+
+results = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    results.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def test_calls_in_one_process_share_a_parser_and_answer_as_fresh_ones():
+    assert cli.build_parser() is cli.build_parser()
+    argvs = [
+        ["resistance", "bent", "--n", "eight"],
+        ["--help"],
+        ["resistance", "bent", "--n", "8", "--k", "4", "--format", "json"],
+    ]
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), COLUMNS="80")
+
+    def run(*args):
+        proc = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=120)
+        return proc.returncode, proc.stdout, proc.stderr
+
+    code, out, err = run("-c", _SHARED_PARSER_PROBE, json.dumps(argvs))
+    assert code == 0, err
+    shared = json.loads(out)
+    assert [code for code, _, _ in shared] == [2, 0, 0]
+    for argv, result in zip(argvs, shared):
+        assert tuple(result) == run("-m", "twotree.cli", *argv), argv
+
+
 def test_queries_never_load_the_catalogue():
     # Only `verify` needs twotree.identities, and no value class is a
     # dataclass, so a query never pays for dataclasses and inspect either.

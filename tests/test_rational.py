@@ -79,6 +79,14 @@ _operands = st.one_of(
     st.builds(Fraction, _big, _den),
 )
 
+# Operands of denominator 1, which `_add_pairs` adds without a division,
+# against a draw from each other strategy.
+_whole = st.one_of(st.just(0), st.just(Fraction(0)), st.integers(1, 10**40), st.builds(Fraction, _big))
+_any_operand = st.one_of(
+    _operands,
+    st.one_of(_divisor_pairs(), _exact_quotient_pairs(), _equal_denominator_pairs()).flatmap(st.sampled_from),
+)
+
 
 @settings(deadline=None, max_examples=600)
 @given(
@@ -87,6 +95,7 @@ _operands = st.one_of(
         _exact_quotient_pairs(),
         _equal_denominator_pairs(),
         st.tuples(_operands, _operands),
+        st.tuples(_whole, _any_operand),
         st.tuples(st.builds(Fraction, st.integers(-(10**40), -1), _den), _operands),
     )
 )

@@ -280,6 +280,49 @@ def test_chain_transforms_run_one_gcd_each(monkeypatch):
     assert per_call == [1]
 
 
+@st.composite
+def _divisible_pairs(draw):
+    """a = p/q and b = R/(q*m), each in lowest terms: more pairs than a chain's."""
+    a = Fraction(draw(st.integers(1, 10**40)), draw(st.integers(1, 10**40)))
+    d = a.denominator * draw(st.integers(1, 10**40))
+    r = draw(st.integers(1, 10**80))
+    while (g := gcd(r, d)) > 1:
+        r //= g
+    return a, Fraction(r, d)
+
+
+@settings(deadline=None, max_examples=400)
+@given(pair=_divisible_pairs())
+def test_chain_branches_need_only_the_divisor_case(pair):
+    # gcd(R, S) = gcd(R, p + q) needs only gcd(R, D) = 1 and q | D, so the
+    # chain transform gives a reduced x and the right values off a chain too.
+    a, b = pair
+    x, y, t = _chain_branches((a.numerator, a.denominator), (b.numerator, b.denominator))
+    ref = Fraction(b.numerator, a.numerator * (b.denominator // a.denominator) + b.numerator + b.denominator)
+    assert x == (ref.numerator, ref.denominator)
+    assert tuple(Fraction(*branch) for branch in (x, y, t)) == delta_y(a, b, 1)
+
+
+def test_chain_gcds_take_a_half_size_operand(monkeypatch):
+    # The one gcd of a transform is gcd(R, p + q): on a unit chain p + q has
+    # about half the bits of R, where gcd(R, S) would take two of full size.
+    operands = []
+
+    def watched_gcd(*args):
+        operands.append(args)
+        return gcd(*args)
+
+    monkeypatch.setattr(reduction, "gcd", watched_gcd)
+    for run, transforms in ((lambda: reduce_bent(200, 77), 197), (lambda: reduce_straight_state(200), 198)):
+        run()
+        assert len(operands) == transforms
+        for args in operands:
+            small, big = sorted(v.bit_length() for v in args)
+            assert small <= big / 2 + 2, args
+        assert max(v.bit_length() for args in operands for v in args) > 150
+        operands.clear()
+
+
 def test_chain_sums_run_a_bounded_number_of_gcds(monkeypatch):
     # Every gcd an addition could run, its own and those inside Fraction
     # arithmetic, is counted.  The engine adds int pairs by `_add_pairs`,
