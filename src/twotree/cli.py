@@ -5,17 +5,18 @@ Subcommands: `resistance` (one query, several methods, cross-checked),
 catalogue as JSON lines), `reduce` (chain reduction with an optional
 step-by-step log).  Exit codes: 0 success, 1 verification failure (routes
 that disagree, a failed identity, a broken engine invariant), 2 usage or
-input error.
+input error, 141 stdout closed by its reader.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import io
 import itertools
 import json
+import os
 import sys
+from collections import namedtuple
 from fractions import Fraction
 from functools import cache
 from typing import Optional
@@ -43,30 +44,23 @@ MAX_DIGITS = 10_000
 # a test keeps the two equal.
 PROFILES = ("small", "standard", "deep")
 
-CSV_COLUMNS = ("command", "family", "n", "k", "i", "j", "exact", "decimal", "methods", "agree")
+# A record's fields in order: the keys of a JSON record, the columns of a CSV row.
+RECORD_FIELDS = ("command", "family", "n", "k", "i", "j", "exact", "decimal", "methods", "agree")
 
 
 class UsageError(ValueError):
     """Bad parameters; reported with a diagnostic and exit code 2."""
 
 
-class _Route:
-    """call(n, k, i, j, chain) gives the value; cost(n, k) is the work of one
-    record by the work function of the route's module, about 1 ns a unit,
-    summed over a batch against MAX_SWEEP_COST.
-    """
+_Route = namedtuple("_Route", ("call", "cost"))
 
-    __slots__ = ("call", "cost")
-
-    def __init__(self, call, cost):
-        self.call, self.cost = call, cost
-
-
-# Every route of the CLI.  A call looks its function up in this module when it
-# runs, so a wrapper or stub set here reaches it.  The oracles price a chain by
-# its grounded Laplacian: half-bandwidth 3 with a bend and 2 without, and mean
-# degree 4 - 6/n, rounded up.  tests/check_prices.py times every route
-# against its price.
+# Every route of the CLI.  call(n, k, i, j, chain) gives the value; cost(n, k)
+# is the work of one record by the work function of the route's module, about
+# 1 ns a unit, summed over a batch against MAX_SWEEP_COST.  A call looks its
+# function up in this module when it runs, so a wrapper or stub set here
+# reaches it.  The oracles price a chain by its grounded Laplacian:
+# half-bandwidth 3 with a bend and 2 without, and mean degree 4 - 6/n, rounded
+# up.  tests/check_prices.py times every route against its price.
 _ROUTES = {
     ("bent", "alternating"): _Route(
         lambda n, k, i, j, g: bent_resistance_alternating(BentParams(n, k)),
@@ -194,21 +188,12 @@ def _record_from_values(
                 if isinstance(v, float):
                     agree = agree and abs(v - ref) <= FLOAT_RELATIVE_TOLERANCE * abs(ref)
     exact = ratio_string(reference) if reference is not None else None
-    return {
-        "command": command,
-        "family": family,
-        "n": n,
-        "k": k,
-        "i": i,
-        "j": j,
-        "exact": exact,
-        "decimal": decimal_string(reference, digits) if reference is not None else None,
-        "methods": {
-            t: ((exact if v == reference else ratio_string(v)) if isinstance(v, Fraction) else repr(v))
-            for t, v in values.items()
-        },
-        "agree": agree,
+    decimal = decimal_string(reference, digits) if reference is not None else None
+    methods = {
+        t: ((exact if v == reference else ratio_string(v)) if isinstance(v, Fraction) else repr(v))
+        for t, v in values.items()
     }
+    return dict(zip(RECORD_FIELDS, (command, family, n, k, i, j, exact, decimal, methods, agree)))
 
 
 def _record_to_text(record: dict) -> str:
@@ -222,21 +207,11 @@ def _record_to_text(record: dict) -> str:
     return f"{head} {where} = {value} [{methods}] agree={agree}"
 
 
-def _record_to_csv_row(record: dict) -> list[str]:
+def _record_to_csv_row(record: dict) -> list:
+    # csv writes None as an empty cell and an int as its text.
     methods = ";".join(f"{t}={v}" for t, v in record["methods"].items())
-    agree = "" if record["agree"] is None else str(record["agree"]).lower()
-    return [
-        record["command"],
-        record["family"],
-        str(record["n"]),
-        "" if record["k"] is None else str(record["k"]),
-        str(record["i"]),
-        str(record["j"]),
-        record["exact"] or "",
-        record["decimal"] or "",
-        methods,
-        agree,
-    ]
+    cells = dict(record, methods=methods, agree={True: "true", False: "false"}.get(record["agree"]))
+    return [cells[field] for field in RECORD_FIELDS]
 
 
 def emit_records(records: list[dict], fmt: str, out) -> None:
@@ -244,12 +219,9 @@ def emit_records(records: list[dict], fmt: str, out) -> None:
         for record in records:
             out.write(json.dumps(record) + "\n")
     elif fmt == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        for record in records:
-            writer.writerow(_record_to_csv_row(record))
-        out.write(buffer.getvalue())
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(RECORD_FIELDS)
+        writer.writerows(map(_record_to_csv_row, records))
     else:
         for record in records:
             out.write(_record_to_text(record) + "\n")
@@ -483,6 +455,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         if getattr(args, "digits", 1) > MAX_DIGITS:
             raise UsageError(f"digits must be at most MAX_DIGITS = {MAX_DIGITS}")
         return args.run(args, out)
+    except BrokenPipeError:
+        # The reader closed stdout.  Pointed at the null device, stdout's exit
+        # flush stays quiet; 141 is the shell's code for a SIGPIPE stop.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except ReductionError as exc:
         # The CLI only hands the engine valid chains, so this is a broken
         # invariant inside it, never a usage error.

@@ -171,12 +171,9 @@ class Identity(NamedTuple):
     in_run_all: bool = True
 
 
-def _spans(params, small, standard, deep):
-    return {
-        "small": {p: small for p in params},
-        "standard": {p: standard for p in params},
-        "deep": {p: deep for p in params},
-    }
+def _spans(params, *spans):
+    """One box per profile, in PROFILES order, spanning every parameter alike."""
+    return {profile: {p: span for p in params} for profile, span in zip(PROFILES, spans, strict=True)}
 
 _SIGNED_SINGLE = _spans(("m",), (-10, 60), (-50, 300), (-100, 500))
 _POSITIVE_SINGLE = _spans(("m",), (1, 60), (1, 300), (1, 500))
@@ -390,8 +387,6 @@ def check_identity(
 
 def run_all(profile: str = "standard") -> list[IdentityReport]:
     """Check every catalogued identity on the given profile."""
-    if profile not in PROFILES:
-        raise ValueError(f"unknown profile {profile!r}; expected one of {PROFILES}")
     return [
         check_identity(entry.id, profile=profile)
         for entry in REGISTRY.values()

@@ -109,7 +109,8 @@ def resistance_exact(g: WeightedGraph, i: int, j: int, *, ground: int | None = N
     w = j if ground is None else ground
     width = _check_query(g, i, j, w)
     scale = lcm(*(wt.denominator for _, _, wt in g.edges))
-    total = sum(wt.numerator * (scale // wt.denominator) for _, _, wt in g.edges)
+    scaled = [(a, b, wt.numerator * (scale // wt.denominator)) for a, b, wt in g.edges]
+    total = sum(c for _, _, c in scaled)
     work = exact_work(g.n, width, -(-2 * total // g.n))
     check_work(f"the exact oracle on {g.n} vertices (half-bandwidth {width})", work)
     if i == j:
@@ -127,8 +128,7 @@ def resistance_exact(g: WeightedGraph, i: int, j: int, *, ground: int | None = N
     for r, first in enumerate(lo):
         reach[first] = max(reach[first], r)
     upper = [[0] * (hi - r + 1) for r, hi in enumerate(accumulate(reach, max))]
-    for a, b, wt in g.edges:
-        c = wt.numerator * (scale // wt.denominator)
+    for a, b, c in scaled:
         upper[a - 1][0] += c
         upper[b - 1][0] += c
         if w not in (a, b):

@@ -811,6 +811,79 @@ def test_reduce_step_log_is_pinned(capsys, argv, lines, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sweep", "bent", "--n", "6:9", "--methods", "all"),
+        ("resistance", "straight", "--n", "12", "--i", "2", "--j", "9", "--methods", "all"),
+        ("resistance", "bent", "--n", "8", "--k", "4", "--methods", "float"),
+    ],
+)
+def test_json_records_and_csv_rows_share_one_layout(capsys, argv):
+    code, json_out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    code, csv_out, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0
+    records = [json.loads(line) for line in json_out.splitlines()]
+    header, *rows = csv.reader(io.StringIO(csv_out))
+    assert header == list(cli.RECORD_FIELDS)
+
+    def cell(value):
+        if value is None:
+            return ""
+        if isinstance(value, bool):
+            return str(value).lower()
+        if isinstance(value, dict):
+            return ";".join(f"{t}={v}" for t, v in value.items())
+        return str(value)
+
+    for record, row in zip(records, rows, strict=True):
+        assert list(record) == header
+        assert row == [cell(record[field]) for field in header]
+
+
+@pytest.mark.parametrize(
+    "fmt, lines, digest",
+    [
+        ("json", 28, "46682eb5f93fb8e5a913a57792f95718dfb0dd9b86b68e4043e403ec5afa4e84"),
+        ("csv", 29, "3766757d90e45c0af5e1647d9e32d02276fed327e38b3d70893077b30d85c5d4"),
+    ],
+)
+def test_sweep_records_are_pinned(capsys, fmt, lines, digest):
+    code, out, _ = run_cli(capsys, "sweep", "bent", "--n", "6:12", "--methods", "all", "--format", fmt)
+    assert code == 0
+    assert out.count("\n") == lines
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # About 680 KB, written after the record; and a sweep's records of
+        # about 220 KB, written by emit_records.  Both outgrow a pipe's buffer.
+        ("reduce", "straight", "400", "--emit-log", "--format", "json"),
+        ("sweep", "bent", "--n", "6:400", "--k-policy", "center", "--format", "json"),
+    ],
+)
+def test_a_closed_stdout_exits_141_quietly(argv):
+    src = Path(__file__).resolve().parents[1] / "src"
+    with subprocess.Popen(
+        [sys.executable, "-m", "twotree.cli", *argv], env=dict(os.environ, PYTHONPATH=str(src)),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, bufsize=0,
+    ) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        try:
+            code = proc.wait(timeout=60)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            raise
+        err = proc.stderr.read()
+    assert first.startswith(b"{")
+    assert code == 141, err.decode()
+    assert err == b""
+
+
 # Runs in a fresh interpreter, since this test session has already loaded
 # the identity catalogue.  numpy is blocked first, so an import of it fails
 # loudly.  After the import and after each command it records the exit code,
