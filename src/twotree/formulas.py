@@ -3,6 +3,9 @@
 Everything here is a pure function of Fibonacci/Lucas numbers evaluated as
 exact rationals; the reduction engine and the Laplacian oracle provide the
 independent confirmations.
+
+Each closed form checks TWO_TREE_CACHE_LIMIT once, on the largest |index| it
+reads, and then reads through the unchecked `fib` and `lucas` bound here.
 """
 
 from __future__ import annotations
@@ -11,7 +14,8 @@ from collections import namedtuple
 from fractions import Fraction
 from math import gcd
 
-from .sequences import fib, lucas
+from . import sequences
+from .sequences import _fib as fib, _lucas as lucas, check_index
 
 
 def closed_form_work(n: int) -> int:
@@ -80,8 +84,10 @@ def straight_pair_resistance(m: int, j: int, k: int) -> Fraction:
     if j < 1 or k < 1 or j + k > m + 2:
         raise ValueError(f"vertex pair (j={j}, j+k={j + k}) out of range 1..{m + 2}")
     if (j, k) == (1, m + 1):
+        check_index(m + 1)
         return Fraction(m + 1, 5) + Fraction(4 * fib(m + 1), 5 * lucas(m + 1))
     h, u = 2 * m + 2, 2 * m - 4 * j + 6
+    check_index(h)
     f, swing = fib(h), lucas(h - 2 * k) + lucas(u - 2 * k)
     return Fraction(5 * k * f + 2 * lucas(h) + lucas(u) + lucas(u - 4 * k) - 2 * (-1) ** k * swing, 25 * f)
 
@@ -108,6 +114,11 @@ def tail_sum_closed_form(j: int) -> Fraction:
     """The same partial sum as ((j+1) L_{j+1} - F_{j+1}) / (5 L_{j+1})."""
     if j < 0:
         raise ValueError("tail sums are defined for j >= 0")
+    check_index(j + 1)
+    return _tail_sum_closed(j)
+
+
+def _tail_sum_closed(j: int) -> Fraction:
     return Fraction((j + 1) * lucas(j + 1) - fib(j + 1), 5 * lucas(j + 1))
 
 
@@ -119,16 +130,18 @@ def bent_resistance_product(params: BentParams) -> Fraction:
     closed form.
     """
     k, ell, m = params.k, params.ell, params.m
+    check_index(2 * m + 2)
     f2l = fib(2 * ell + 2)
     f2k = fib(2 * k - 2)
     first = f2l * fib(k - 1) ** 2 + f2k * fib(ell) ** 2
     second = f2l * fib(k - 2) ** 2 + f2k * fib(ell + 1) ** 2 + f2k * f2l
     core = Fraction(first * second, f2k * f2l * fib(2 * m + 2))
-    return core + tail_sum_closed_form(params.p) + tail_sum_closed_form(ell)
+    return core + _tail_sum_closed(params.p) + _tail_sum_closed(ell)
 
 
 def _alternating_summand(m: int, j: int) -> int:
-    """The j-th signed summand of the alternating form, term by term."""
+    """The j-th signed summand of the alternating form, term by term, each read checked."""
+    fib = sequences.fib
     sign = -1 if j % 2 else 1
     return sign * fib(m - 2 * j + 3) * (fib(m + 2) + fib(j - 2) * fib(m - j + 1))
 
@@ -153,6 +166,7 @@ def bent_resistance_alternating(params: BentParams) -> Fraction:
     +-h; inner indices may go negative, and the signed-index extension handles them.
     """
     m, k, h, t = params.m, params.k, 2 * params.m + 2, (-1) ** params.m
+    check_index(h)
     swing = (-1) ** k * (5 * fib(h - 2 * k + 2) + 5 * t * fib(2 * k) + lucas(h - 2 * k - 1) + t * lucas(2 * k - 3))
     f = fib(h)
     return Fraction(5 * (m + 1) * f + swing + lucas(h - 4 * k + 2) + 3 * lucas(h) - 8 * t, 25 * f)
@@ -160,4 +174,4 @@ def bent_resistance_alternating(params: BentParams) -> Fraction:
 
 def telescoping_difference(m: int, k: int) -> Fraction:
     """Exact value of r_{m,k+1} - r_{m,k} predicted by the alternating form."""
-    return Fraction(_alternating_summand(m, k + 1), fib(2 * m + 2))
+    return Fraction(_alternating_summand(m, k + 1), sequences.fib(2 * m + 2))

@@ -12,16 +12,23 @@ chain's half-bandwidth is at most 3, so it costs O(n) float operations.  It
 exists to cross-check the exact path, never to feed it, and shares no code
 with it past the query checks, which read the band off the edge list.  Each
 path refuses a graph priced over MAX_SWEEP_COST before it allocates a row.
+
+The chain builders give every edge one shared unit weight, `graphs._UNIT`.
+Both paths tell it apart by identity and read no Fraction for it: the exact
+path then scales by 1, the float path takes 1.0.  Any other weight, equal
+to 1 or not, goes through its numerator and denominator.  Connectivity is
+the graph's own answer, walked once per graph, so the two paths of one
+record share a walk.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, repeat
 from math import lcm
 from operator import mul
 
-from .graphs import GraphError, WeightedGraph, check_work
+from .graphs import _UNIT, GraphError, WeightedGraph, check_work
 
 
 def exact_work(n: int, width: int, diagonal: int) -> int:
@@ -108,9 +115,14 @@ def resistance_exact(g: WeightedGraph, i: int, j: int, *, ground: int | None = N
     """
     w = j if ground is None else ground
     width = _check_query(g, i, j, w)
-    scale = lcm(*(wt.denominator for _, _, wt in g.edges))
-    scaled = [(a, b, wt.numerator * (scale // wt.denominator)) for a, b, wt in g.edges]
-    total = sum(c for _, _, c in scaled)
+    edges = g.edges
+    if all(wt is _UNIT for _, _, wt in edges):
+        # The chain builders' one shared weight: no Fraction is read.
+        scale, weights, total = 1, repeat(1), len(edges)
+    else:
+        scale = lcm(*(wt.denominator for _, _, wt in edges))
+        weights = [wt.numerator * (scale // wt.denominator) for _, _, wt in edges]
+        total = sum(weights)
     work = exact_work(g.n, width, -(-2 * total // g.n))
     check_work(f"the exact oracle on {g.n} vertices (half-bandwidth {width})", work)
     if i == j:
@@ -121,14 +133,14 @@ def resistance_exact(g: WeightedGraph, i: int, j: int, *, ground: int | None = N
     # Grounding w: its row and column become the identity's, so vertex v
     # keeps row v - 1.  Off the diagonal, the nonzeros are exactly the edges.
     lo = list(range(g.n))
-    for a, b, _ in g.edges:
+    for a, b, _ in edges:
         if w not in (a, b):
             lo[b - 1] = min(lo[b - 1], a - 1)
     reach = list(range(g.n))
     for r, first in enumerate(lo):
         reach[first] = max(reach[first], r)
     upper = [[0] * (hi - r + 1) for r, hi in enumerate(accumulate(reach, max))]
-    for a, b, c in scaled:
+    for (a, b, _), c in zip(edges, weights):
         upper[a - 1][0] += c
         upper[b - 1][0] += c
         if w not in (a, b):
@@ -159,7 +171,7 @@ def resistance_float(g: WeightedGraph, i: int, j: int) -> float:
         raise GraphError("resistance is undefined on a disconnected graph")
     band = [[0.0] * (width + 1) for _ in range(n)]
     for a, b, wgt in g.edges:
-        c = float(wgt)
+        c = 1.0 if wgt is _UNIT else float(wgt)
         band[a - 1][0] += c
         band[b - 1][0] += c
         # Grounding j: its potential is pinned to 0 and drops out of every other row.

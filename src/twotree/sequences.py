@@ -7,6 +7,13 @@ rather than restatements of the implementation.
 
 Indices up to `_FILL_CUTOFF` come from tuples built at import (~160 KB);
 larger ones are recomputed by doubling on every call and never stored.
+
+`fib` and `lucas` check |index| against TWO_TREE_CACHE_LIMIT on every call,
+and that check reads the environment.  A closed form reads up to a dozen
+indices whose largest it knows in advance, so it calls `check_index` once on
+that largest and then reads through `_fib` and `_lucas`, which check nothing.
+`fib` and `lucas` repeat those bodies rather than call them, so that the
+identity catalogue's millions of checked reads stay one call deep.
 """
 
 from __future__ import annotations
@@ -46,7 +53,8 @@ def index_limit() -> int:
     return value
 
 
-def _check_index(n: int) -> None:
+def check_index(n: int) -> None:
+    """Refuse |n| past `index_limit()`, naming n."""
     limit = index_limit()
     if abs(n) > limit:
         raise ValueError(f"sequence index {n} is past {ENV_CACHE_LIMIT} = {limit}")
@@ -79,7 +87,7 @@ def fib(n: int) -> int:
 
     F_0 = 0, F_1 = 1, and F_{-r} = (-1)^{r+1} F_r for the negative side.
     """
-    _check_index(n)
+    check_index(n)
     r = abs(n)
     value = _fib_table[r] if r <= _FILL_CUTOFF else _fib_pair(r)[0]
     if n >= 0 or r % 2 == 1:
@@ -92,9 +100,23 @@ def lucas(n: int) -> int:
 
     L_0 = 2, L_1 = 1, and L_{-r} = (-1)^r L_r for the negative side.
     """
-    _check_index(n)
+    check_index(n)
     r = abs(n)
     value = _lucas_table[r] if r <= _FILL_CUTOFF else _lucas_pair(r)[0]
     if n >= 0 or r % 2 == 0:
         return value
     return -value
+
+
+def _fib(n: int) -> int:
+    """`fib` without the index check, for callers that checked their largest index."""
+    r = abs(n)
+    value = _fib_table[r] if r <= _FILL_CUTOFF else _fib_pair(r)[0]
+    return value if n >= 0 or r % 2 == 1 else -value
+
+
+def _lucas(n: int) -> int:
+    """`lucas` without the index check, for callers that checked their largest index."""
+    r = abs(n)
+    value = _lucas_table[r] if r <= _FILL_CUTOFF else _lucas_pair(r)[0]
+    return value if n >= 0 or r % 2 == 0 else -value

@@ -22,11 +22,13 @@ from twotree import (
     telescoping_difference,
 )
 import twotree.formulas
+from twotree import sequences
 from twotree.formulas import (
     _alternating_summand,
     tail_sum,
     tail_sum_closed_form,
 )
+from twotree.sequences import ENV_CACHE_LIMIT
 
 
 def _straight_pair_sum(m, j, k):
@@ -57,6 +59,23 @@ def _count_sequence_calls(monkeypatch):
 
         monkeypatch.setattr(twotree.formulas, name, counted)
     return calls
+
+
+def _count_limit_reads(monkeypatch):
+    reads = []
+    real = sequences.index_limit
+    monkeypatch.setattr(sequences, "index_limit", lambda: reads.append(1) or real())
+    return reads
+
+
+# Each closed form's branch with the largest |index| it reads, all past the tables.
+CLOSED_FORMS = {
+    "alternating": (lambda: bent_resistance_alternating(BentParams(3000, 1200)), 5998),
+    "product": (lambda: bent_resistance_product(BentParams(3000, 1200)), 5998),
+    "straight pair": (lambda: straight_pair_resistance(2998, 2, 2000), 5998),
+    "straight end pair": (lambda: straight_pair_resistance(2998, 1, 2999), 2999),
+    "tail sum": (lambda: tail_sum_closed_form(2500), 2501),
+}
 
 
 def test_bent_params_normalisation():
@@ -234,3 +253,39 @@ def test_telescoping_small_sweep():
             rhs = bent_resistance_product(BentParams.from_mk(m, k + 1)) - \
                 bent_resistance_product(BentParams.from_mk(m, k))
             assert rhs == telescoping_difference(m, k)
+
+
+@pytest.mark.parametrize("form", CLOSED_FORMS)
+def test_closed_form_reads_the_limit_once(monkeypatch, form):
+    evaluate, _ = CLOSED_FORMS[form]
+    calls = _count_sequence_calls(monkeypatch)
+    reads = _count_limit_reads(monkeypatch)
+    evaluate()
+    assert sum(calls.values()) >= 2
+    assert len(reads) == 1
+
+
+def test_public_reads_check_the_limit_on_every_call(monkeypatch):
+    reads = _count_limit_reads(monkeypatch)
+    for n in (5, -7, 3000):
+        fib(n)
+        lucas(n)
+    assert len(reads) == 6
+
+
+@pytest.mark.parametrize("form", CLOSED_FORMS)
+def test_closed_form_refuses_past_its_largest_index(monkeypatch, form):
+    evaluate, largest = CLOSED_FORMS[form]
+    expected = evaluate()
+    monkeypatch.setenv(ENV_CACHE_LIMIT, str(largest))
+    assert evaluate() == expected
+
+    def never(r):
+        pytest.fail(f"index {r} was computed")
+
+    monkeypatch.setenv(ENV_CACHE_LIMIT, str(largest - 1))
+    monkeypatch.setattr(sequences, "_fib_pair", never)
+    monkeypatch.setattr(sequences, "_lucas_pair", never)
+    message = rf"^sequence index {largest} is past TWO_TREE_CACHE_LIMIT = {largest - 1}$"
+    with pytest.raises(ValueError, match=message):
+        evaluate()

@@ -281,3 +281,63 @@ def test_float_guard():
 def test_exact_guard():
     with pytest.raises(GraphError, match="exact oracle on 1000000000 vertices"):
         resistance_exact(WeightedGraph(10**9, []), 1, 2)
+
+
+def _unit_copies(chain):
+    # Equal weights, but none of them the chain builders' shared unit Fraction.
+    copies = [WeightedGraph(chain.n, [(a, b, 1) for a, b, _ in chain.edges]), WeightedGraph.from_text(chain.to_text())]
+    for copy in copies:
+        assert copy == chain
+        assert not any(w is wt for (_, _, w), (_, _, wt) in zip(copy.edges, chain.edges))
+    return copies
+
+
+def test_oracles_answer_the_same_on_equal_unit_weights():
+    for chain, i, j in [(bent_2tree(13, 5), 1, 13), (straight_2tree(11), 2, 9), (bent_2tree(8, 3), 4, 8)]:
+        exact, approx = resistance_exact(chain, i, j), resistance_float(chain, i, j)
+        for copy in _unit_copies(chain):
+            assert resistance_exact(copy, i, j) == exact
+            assert resistance_exact(copy, i, j, ground=3) == exact
+            assert resistance_float(copy, i, j) == approx
+
+
+def test_oracles_price_equal_unit_weights_the_same(monkeypatch):
+    prices = []
+    monkeypatch.setattr("twotree.resistance.check_work", lambda what, work: prices.append((what, work)))
+    # At n = 60 the exact oracle's price depends on the weights' total.
+    chain = bent_2tree(60, 30)
+    for g in [chain, *_unit_copies(chain)]:
+        resistance_exact(g, 1, 60)
+        resistance_float(g, 1, 60)
+    assert prices[2:] == prices[:2] * 2
+
+
+def test_oracles_on_a_chain_of_weight_2():
+    for chain in (bent_2tree(14, 6), straight_2tree(12)):
+        doubled = WeightedGraph(chain.n, [(a, b, 2) for a, b, _ in chain.edges])
+        r = resistance_exact(chain, 1, chain.n)
+        assert resistance_exact(doubled, 1, chain.n) == r / 2
+        assert abs(resistance_float(doubled, 1, chain.n) - float(r / 2)) <= 1e-12
+        # One edge of weight 2 among the builders' shared unit weights.
+        mixed = WeightedGraph(chain.n, [(a, b, 2 if (a, b) == (2, 3) else w) for a, b, w in chain.edges])
+        r = _resistance_plain_gauss(mixed, 1, chain.n)
+        assert resistance_exact(mixed, 1, chain.n) == r
+        assert _float_close(resistance_float(mixed, 1, chain.n), r)
+
+
+def test_oracles_share_one_connectivity_walk(monkeypatch):
+    checks, walks = [], []
+    is_connected, walk = WeightedGraph.is_connected, WeightedGraph._walk_reaches_all
+    monkeypatch.setattr(WeightedGraph, "is_connected", lambda self: checks.append(1) or is_connected(self))
+    monkeypatch.setattr(WeightedGraph, "_walk_reaches_all", lambda self: walks.append(1) or walk(self))
+    g = bent_2tree(12, 5)
+    assert resistance_exact(g, 1, 12) == bent_resistance_product(BentParams(12, 5))
+    assert _float_close(resistance_float(g, 1, 12), resistance_exact(g, 1, 12))
+    assert (len(checks), len(walks)) == (3, 1)
+    parts = WeightedGraph(4, [(1, 2, 1), (3, 4, 1)])
+    for _ in range(2):
+        with pytest.raises(GraphError, match="disconnected"):
+            resistance_exact(parts, 1, 4)
+        with pytest.raises(GraphError, match="disconnected"):
+            resistance_float(parts, 1, 4)
+    assert len(walks) == 2
