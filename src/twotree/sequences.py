@@ -12,8 +12,7 @@ larger ones are recomputed by doubling on every call and never stored.
 and that check reads the environment.  A closed form reads up to a dozen
 indices whose largest it knows in advance, so it calls `check_index` once on
 that largest and then reads through `_fib` and `_lucas`, which check nothing.
-`fib` and `lucas` repeat those bodies rather than call them, so that the
-identity catalogue's millions of checked reads stay one call deep.
+`fib` and `lucas` are those readers behind the check.
 """
 
 from __future__ import annotations
@@ -88,11 +87,7 @@ def fib(n: int) -> int:
     F_0 = 0, F_1 = 1, and F_{-r} = (-1)^{r+1} F_r for the negative side.
     """
     check_index(n)
-    r = abs(n)
-    value = _fib_table[r] if r <= _FILL_CUTOFF else _fib_pair(r)[0]
-    if n >= 0 or r % 2 == 1:
-        return value
-    return -value
+    return _fib(n)
 
 
 def lucas(n: int) -> int:
@@ -101,11 +96,7 @@ def lucas(n: int) -> int:
     L_0 = 2, L_1 = 1, and L_{-r} = (-1)^r L_r for the negative side.
     """
     check_index(n)
-    r = abs(n)
-    value = _lucas_table[r] if r <= _FILL_CUTOFF else _lucas_pair(r)[0]
-    if n >= 0 or r % 2 == 0:
-        return value
-    return -value
+    return _lucas(n)
 
 
 def _fib(n: int) -> int:
