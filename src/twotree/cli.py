@@ -28,7 +28,7 @@ from .formulas import (
     closed_form_work,
     straight_pair_resistance,
 )
-from .graphs import MAX_SWEEP_COST, GraphError, WeightedGraph, bent_2tree, check_work, straight_2tree, units
+from .graphs import MAX_SWEEP_COST, GraphError, WeightedGraph, bent_2tree, chain_shape, check_work, straight_2tree, units
 from .rational import decimal_string, ratio_string
 from .reduction import ReductionError, engine_work, reduce_bent, reduce_straight_state
 from .resistance import exact_work, float_work, resistance_exact, resistance_float
@@ -339,13 +339,10 @@ def _cmd_verify(args, out) -> int:
 def _detect_family(g: WeightedGraph) -> tuple[str, Optional[int]]:
     if any(w != 1 for _, _, w in g.edges):
         raise UsageError("only unit-weight chains are reducible; found non-unit weights")
-    if g.n >= 3 and g == straight_2tree(g.n):
-        return "straight", None
-    # A bent chain has exactly one edge spanning three positions, {k, k+3}.
-    bends = [a for a, b, _ in g.edges if b - a == 3]
-    if len(bends) == 1 and 3 <= bends[0] <= g.n - 3 and g == bent_2tree(g.n, bends[0]):
-        return "bent", bends[0]
-    raise UsageError("unsupported topology: not a straight or singly-bent chain")
+    shape = chain_shape(g)
+    if shape is None:
+        raise UsageError("unsupported topology: not a straight or singly-bent chain")
+    return shape
 
 
 def _cmd_reduce(args, out) -> int:

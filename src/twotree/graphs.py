@@ -204,3 +204,34 @@ def bent_2tree(n: int, k: int) -> WeightedGraph:
     edges[2 * k + 1] = (k + 1, k + 2, _UNIT)
     edges[2 * k] = (k, k + 3, _UNIT)
     return WeightedGraph._trusted(n, tuple(edges))
+
+
+def chain_shape(g: WeightedGraph) -> tuple[str, int | None] | None:
+    """`("straight", None)` when g equals `straight_2tree(g.n)`, `("bent", k)`
+    when it equals `bent_2tree(g.n, k)`, and None otherwise.
+
+    Read in one pass over `g.edges`; a weight counts as unit when it equals
+    1, so a chain read from text qualifies.  Position p of a straight
+    chain's sorted edges holds the one pair with a + b = p + 3 and
+    b - a <= 2, and a bend at k changes exactly positions 2k and 2k + 1.
+    """
+    n, edges = g.n, g.edges
+    if n < 3 or len(edges) != 2 * n - 3:
+        return None
+    off = []  # the positions that hold another edge than a straight chain's
+    for p, (a, b, w) in enumerate(edges):
+        if w is not _UNIT and w != 1:
+            return None
+        if a + b != p + 3 or b - a > 2:
+            off.append(p)
+    if not off:
+        return "straight", None
+    k = off[0] // 2
+    if (
+        off == [2 * k, 2 * k + 1]
+        and 3 <= k <= n - 3
+        and edges[2 * k][:2] == (k, k + 3)
+        and edges[2 * k + 1][:2] == (k + 1, k + 2)
+    ):
+        return "bent", k
+    return None

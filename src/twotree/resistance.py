@@ -1,17 +1,29 @@
 """Ground-truth effective resistance, exact and floating point.
 
-Both paths ground one vertex: its row and column of the Laplacian become
-those of the identity, and the system left is symmetric positive definite
-on a connected graph.  The exact path builds only each row's envelope,
-straight from the edge list, and solves it with fraction-free (Bareiss)
-elimination inside that envelope, so the hot loop is pure integer
-arithmetic and a banded chain costs O(n) memory and big-integer operations.
-The float path builds its own upper band in plain Python floats, also from
-the edge list, and runs Gaussian elimination without pivoting inside it: a
-chain's half-bandwidth is at most 3, so it costs O(n) float operations.  It
-exists to cross-check the exact path, never to feed it, and shares no code
-with it past the query checks, which read the band off the edge list.  Each
-path refuses a graph priced over MAX_SWEEP_COST before it allocates a row.
+The exact path answers a unit chain, `straight_2tree(n)` or `bent_2tree(n,
+k)` as `graphs.chain_shape` reads it off the edge list, by Kirchhoff
+shooting.  It grounds v_1 = 0 and takes v_2, and v_{k+2} with a bend, as
+parameters; each Kirchhoff row then gives the potential of its largest
+neighbour as an integer affine form in them, with no division, in O(n)
+big-integer additions.  The rows left over, row n and with a bend row
+k + 1, make a 1x1 or 2x2 integer system, solved by Cramer's rule into one
+Fraction: one gcd in all.
+
+Every other graph, weighted, relabelled or not a chain, takes the general
+exact path, and the float path takes every graph.  Both ground one vertex:
+its row and column of the Laplacian become those of the identity, and the
+system left is symmetric positive definite on a connected graph.  The exact
+general path builds only each row's envelope, straight from the edge list,
+and solves it with fraction-free (Bareiss) elimination inside that
+envelope, so the hot loop is pure integer arithmetic and a banded graph
+costs O(n) memory and big-integer operations.  The float path builds its
+own upper band in plain Python floats, also from the edge list, and runs
+Gaussian elimination without pivoting inside it: a chain's half-bandwidth
+is at most 3, so it costs O(n) float operations.  It exists to cross-check
+the exact path, never to feed it, and shares no code with it past the query
+checks, which read the band off the edge list.  Each path refuses a graph
+priced over MAX_SWEEP_COST before it allocates a row; `exact_work` prices
+every graph, a chain too, as the envelope solve.
 
 The chain builders give every edge one shared unit weight, `graphs._UNIT`.
 Both paths tell it apart by identity and read no Fraction for it: the exact
@@ -28,7 +40,7 @@ from itertools import accumulate, repeat
 from math import lcm
 from operator import mul
 
-from .graphs import _UNIT, GraphError, WeightedGraph, check_work
+from .graphs import _UNIT, GraphError, WeightedGraph, chain_shape, check_work
 
 
 def exact_work(n: int, width: int, diagonal: int) -> int:
@@ -107,11 +119,81 @@ def _envelope_solve(upper: list[list[int]], lo: list[int], rhs: list[int]) -> tu
     return y, prev
 
 
+def _shoot(v: list[int], n: int, bend: int | None, current: list[int]) -> None:
+    """Fill in v[3..n], one coordinate of a unit chain's potentials, from
+    v[1] = 0, v[2] and, with a bend at k, v[k + 2].
+
+    Kirchhoff row r, deg(r) v_r minus v at each neighbour = current[r], gives
+    v at the row's largest neighbour, which no earlier row reaches.  Rows
+    1..n-2 do so, except row k + 1, whose largest neighbour is k + 2.
+    """
+    v[3] = -v[2] - current[1]  # row 1, with v[1] = 0
+    if n > 3:
+        v[4] = 3 * v[2] - v[3] - current[2]
+    for r in range(3, n - 1 if bend is None else bend):
+        v[r + 2] = 4 * v[r] - v[r - 2] - v[r - 1] - v[r + 1] - current[r]
+    if bend is None:
+        return
+    k = bend
+    v[k + 3] = 5 * v[k] - v[k - 2] - v[k - 1] - v[k + 1] - v[k + 2] - current[k]
+    if k + 2 < n - 1:
+        v[k + 4] = 4 * v[k + 2] - v[k] - v[k + 1] - v[k + 3] - current[k + 2]
+    if k + 3 < n - 1:  # the bend edge makes k, not k + 1, a neighbour of k + 3
+        v[k + 5] = 4 * v[k + 3] - v[k] - v[k + 2] - v[k + 4] - current[k + 3]
+    for r in range(k + 4, n - 1):
+        v[r + 2] = 4 * v[r] - v[r - 2] - v[r - 1] - v[r + 1] - current[r]
+
+
+def _chain_solve(n: int, bend: int | None, i: int, j: int) -> Fraction:
+    """r(i, j) on `straight_2tree(n)`, or on `bent_2tree(n, bend)`, i != j.
+
+    Grounds v_1 = 0 and takes v_2 = s, and v_{k+2} = t with a bend, as
+    parameters; every potential is then p + s q (+ t u) with integer
+    coordinates that `_shoot` fills in with additions and small multiples
+    only.  Row n, and row k + 1 with a bend, are left over: with the current
+    1 in at i and out at j they give a 1x1 or 2x2 integer system for the
+    parameters, solved by Cramer's rule.  Row n - 1 adds nothing, as the
+    rows of a Laplacian and the currents both sum to zero.
+    """
+    current = [0] * (n + 1)
+    current[i], current[j] = 1, -1
+    zero = [0] * (n + 1)
+    p = [0] * (n + 1)
+    _shoot(p, n, bend, current)
+    q = [0] * (n + 1)
+    q[2] = 1
+    _shoot(q, n, bend, zero)
+    # Vertex n's lower neighbours: n - 2 and n - 1, or k and k + 2 when n = k + 3.
+    low = bend if bend == n - 3 else n - 2
+
+    def row_n(v, c):
+        return 2 * v[n] - v[low] - v[n - 1] - c[n]
+
+    if bend is None:
+        # row n: a + s b = 0, and r(i, j) = p_i - p_j + s (q_i - q_j)
+        a, b = row_n(p, current), row_n(q, zero)
+        return Fraction((p[i] - p[j]) * b - (q[i] - q[j]) * a, b)
+    k = bend
+    u = [0] * (n + 1)
+    u[k + 2] = 1
+    _shoot(u, n, k, zero)
+
+    def row_k1(v, c):
+        return 3 * v[k + 1] - v[k - 1] - v[k] - v[k + 2] - c[k + 1]
+
+    a_p, a_q, a_u = row_k1(p, current), row_k1(q, zero), row_k1(u, zero)
+    b_p, b_q, b_u = row_n(p, current), row_n(q, zero), row_n(u, zero)
+    det = a_q * b_u - a_u * b_q
+    s_det, t_det = a_u * b_p - a_p * b_u, a_p * b_q - a_q * b_p
+    return Fraction((p[i] - p[j]) * det + (q[i] - q[j]) * s_det + (u[i] - u[j]) * t_det, det)
+
+
 def resistance_exact(g: WeightedGraph, i: int, j: int, *, ground: int | None = None) -> Fraction:
     """Exact effective resistance between vertices i and j.
 
     Any vertex may be grounded; the answer is independent of the choice
-    (the default grounds j).  Returns 0 for i == j without solving.
+    (the default grounds j, and a unit chain is shot from vertex 1 whatever
+    the choice).  Returns 0 for i == j without solving.
     """
     w = j if ground is None else ground
     width = _check_query(g, i, j, w)
@@ -129,6 +211,9 @@ def resistance_exact(g: WeightedGraph, i: int, j: int, *, ground: int | None = N
         return Fraction(0)
     if not g.is_connected():
         raise GraphError("resistance is undefined on a disconnected graph")
+    shape = chain_shape(g)
+    if shape is not None:
+        return _chain_solve(g.n, shape[1], i, j)
 
     # Grounding w: its row and column become the identity's, so vertex v
     # keeps row v - 1.  Off the diagonal, the nonzeros are exactly the edges.

@@ -6,8 +6,11 @@ from math import lcm
 from time import perf_counter
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from twotree import GraphError, WeightedGraph, bent_2tree, graphs, straight_2tree
+from twotree.graphs import chain_shape
 
 
 def _degrees(g):
@@ -229,3 +232,105 @@ def test_connectivity_detection():
     assert path.is_connected()
     assert not _is_biconnected(path)  # middle vertex is a cut vertex
 
+
+
+def _chains(n):
+    """Every chain on n vertices with its shape: the straight one, then each bend."""
+    yield straight_2tree(n), ("straight", None)
+    for k in range(3, n - 2):
+        yield bent_2tree(n, k), ("bent", k)
+
+
+def test_chain_shape_reads_every_chain():
+    for n in range(3, 41):
+        for g, shape in _chains(n):
+            assert chain_shape(g) == shape
+            # Weights equal to 1 but not the builders' shared one.
+            assert chain_shape(WeightedGraph.from_text(g.to_text())) == shape
+            assert chain_shape(WeightedGraph(n, [(b, a, 1) for a, b, _ in reversed(g.edges)])) == shape
+
+
+def test_chain_shape_refuses_near_chains():
+    for n in range(6, 16):
+        for g, _ in _chains(n):
+            edges = [(a, b) for a, b, _ in g.edges]
+            near = []
+            for at, (a, b) in enumerate(edges):
+                # The edge moved to each pair that is not an edge.
+                for pair in ((a, c) for c in range(a + 1, n + 1)):
+                    if pair not in edges:
+                        near.append(edges[:at] + [pair] + edges[at + 1 :])
+            near.append(edges + [next((1, c) for c in range(2, n + 1) if (1, c) not in edges)])
+            near.append(edges[:-1])
+            for pairs in near:
+                moved = WeightedGraph(n, [(a, b, 1) for a, b in pairs])
+                # A move may turn one chain into another: only those keep a shape.
+                others = [shape for chain, shape in _chains(n) if chain == moved]
+                assert chain_shape(moved) == (others[0] if others else None)
+            for at in range(len(edges)):
+                heavy = WeightedGraph(n, [(a, b, 2 if p == at else 1) for p, (a, b) in enumerate(edges)])
+                assert chain_shape(heavy) is None
+            # Vertex n moved to the front: 1..n-1 become 2..n.
+            relabelled = WeightedGraph(n, [(a % n + 1, b % n + 1, w) for a, b, w in g.edges])
+            assert relabelled != g and chain_shape(relabelled) is None
+
+
+def test_chain_shape_of_small_and_edgeless_graphs():
+    assert chain_shape(WeightedGraph(1, [])) is None
+    assert chain_shape(WeightedGraph(2, [(1, 2, 1)])) is None
+    assert chain_shape(WeightedGraph(3, [(1, 2, 1), (1, 3, 1), (2, 3, 1)])) == ("straight", None)
+    assert chain_shape(WeightedGraph(3, [(1, 2, 1), (2, 3, 1), (1, 3, Fraction(1, 2))])) is None
+
+
+@st.composite
+def edited_chains(draw):
+    """A chain with up to three edits (an edge moved, added or dropped, a weight
+    changed), then possibly relabelled.  Edges move or are added only
+    between vertices at most three apart, where a bend's edges are."""
+    n = draw(st.integers(3, 14))
+    g, _ = draw(st.sampled_from(list(_chains(n))))
+    edges = {(a, b): w for a, b, w in g.edges}
+    pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, min(a + 3, n) + 1)]
+    for _ in range(draw(st.integers(0, 3))):
+        edit = draw(st.sampled_from(["move", "add", "drop", "weight"]))
+        absent = [pair for pair in pairs if pair not in edges]
+        if edit in ("move", "drop", "weight") and edges:
+            pair = draw(st.sampled_from(sorted(edges)))
+            weight = edges.pop(pair)
+            if edit == "weight":
+                edges[pair] = Fraction(draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+            elif edit == "move" and absent:
+                edges[draw(st.sampled_from(absent))] = weight
+        elif edit == "add" and absent:
+            edges[draw(st.sampled_from(absent))] = Fraction(1)
+    label = draw(st.permutations(range(1, n + 1))) if draw(st.booleans()) else list(range(1, n + 1))
+    return WeightedGraph(n, [(label[a - 1], label[b - 1], w) for (a, b), w in edges.items()])
+
+
+def _swapped(g, out, into):
+    """g with each pair of `out` dropped and each pair of `into` added, at unit weight."""
+    return WeightedGraph(g.n, [(a, b, 1) for a, b, _ in g.edges if (a, b) not in out] + [(a, b, 1) for a, b in into])
+
+
+@settings(deadline=None, max_examples=300)
+@given(g=edited_chains())
+# Near-chains that random edits seldom reach: a bend whose (k+1, k+2) moved
+# on to (k+1, k+4), a bend edge moved on to (k, k+5), a bend edge that keeps
+# (k+1, k+3), a bend at k = 2, two bends, and a bent chain reversed.
+@example(g=_swapped(bent_2tree(10, 4), {(5, 6)}, {(5, 8)}))
+@example(g=_swapped(bent_2tree(10, 4), {(4, 7)}, {(4, 9)}))
+@example(g=_swapped(straight_2tree(10), {(5, 6)}, {(4, 7)}))
+@example(g=_swapped(straight_2tree(8), {(3, 5)}, {(2, 5)}))
+@example(g=_swapped(straight_2tree(14), {(5, 7), (10, 12)}, {(4, 7), (9, 12)}))
+@example(g=WeightedGraph(10, [(11 - b, 11 - a, w) for a, b, w in bent_2tree(10, 4).edges]))
+def test_chain_shape_names_only_the_chain_itself(g):
+    # A reader that took a near-chain for a chain would make the exact
+    # oracle answer another graph.
+    shape = chain_shape(g)
+    if shape == ("straight", None):
+        assert g == straight_2tree(g.n)
+    elif shape is not None:
+        family, k = shape
+        assert family == "bent" and g == bent_2tree(g.n, k)
+    else:
+        assert all(g != chain for chain, _ in _chains(g.n))

@@ -28,8 +28,10 @@ from twotree import (
 )
 
 
-def _resistance_plain_gauss(g, i, j):
-    """Textbook rational elimination on the Laplacian grounded at j."""
+def _plain_gauss(g, j, sources):
+    """Textbook rational elimination on the Laplacian grounded at j: for each
+    vertex s in `sources`, the potentials {v: x_v} with a unit current in at
+    s and out at j."""
     keep = [v for v in range(1, g.n + 1) if v != j]
     pos = {v: idx for idx, v in enumerate(keep)}
     size = len(keep)
@@ -40,8 +42,7 @@ def _resistance_plain_gauss(g, i, j):
                 a[pos[p]][pos[p]] += w
                 if q in pos:
                     a[pos[p]][pos[q]] -= w
-    rhs = [Fraction(0)] * size
-    rhs[pos[i]] = Fraction(1)
+    rhs = [[Fraction(int(v == s)) for s in sources] for v in keep]
     for col in range(size):
         pivot = next(r for r in range(col, size) if a[r][col] != 0)
         if pivot != col:
@@ -52,13 +53,26 @@ def _resistance_plain_gauss(g, i, j):
                 continue
             f = a[r][col] / a[col][col]
             for c in range(col, size):
-                a[r][c] -= f * a[col][c]
-            rhs[r] -= f * rhs[col]
-    x = [Fraction(0)] * size
+                if a[col][c]:
+                    a[r][c] -= f * a[col][c]
+            rhs[r] = [x - f * y for x, y in zip(rhs[r], rhs[col])]
+    x = [None] * size
     for r in range(size - 1, -1, -1):
-        acc = rhs[r] - sum((a[r][c] * x[c] for c in range(r + 1, size)), Fraction(0))
-        x[r] = acc / a[r][r]
-    return x[pos[i]]
+        terms = [(a[r][c], x[c]) for c in range(r + 1, size) if a[r][c]]
+        x[r] = [(rhs[r][t] - sum((f * xc[t] for f, xc in terms), Fraction(0))) / a[r][r] for t in range(len(sources))]
+    return [{v: x[pos[v]][t] for v in keep} | {j: Fraction(0)} for t in range(len(sources))]
+
+
+def _resistance_plain_gauss(g, i, j):
+    return _plain_gauss(g, j, [i])[0][i]
+
+
+def _plain_gauss_every_pair(g):
+    """{(i, j): r(i, j)} for every pair i < j, from one elimination grounded at 1:
+    r(i, j) = x_i(i) + x_j(j) - 2 x_i(j), x_s the potentials for a current in at s."""
+    x = dict(zip(range(2, g.n + 1), _plain_gauss(g, 1, range(2, g.n + 1))))
+    x[1] = dict.fromkeys(range(1, g.n + 1), Fraction(0))
+    return {(i, j): x[i][i] + x[j][j] - 2 * x[i][j] for i, j in itertools.combinations(range(1, g.n + 1), 2)}
 
 
 def test_triangle_value():
@@ -193,6 +207,42 @@ def test_exact_oracle_memory_is_sized_to_the_band():
         tracemalloc.stop()
     # A dense n x n list of lists alone takes about 35 MB here.
     assert peak < 8_000_000
+
+
+def _every_chain(top):
+    for n in range(3, top + 1):
+        yield straight_2tree(n)
+        yield from (bent_2tree(n, k) for k in range(3, n - 2))
+
+
+def test_chain_path_agrees_with_plain_gauss_on_every_pair():
+    # One plain elimination per chain gives the referee for all its pairs;
+    # the current runs in at the smaller end on every other pair.
+    for g in _every_chain(30):
+        for (i, j), value in _plain_gauss_every_pair(g).items():
+            assert resistance_exact(g, *((i, j) if (i + j) % 2 else (j, i))) == value
+
+
+def test_chain_path_matches_the_closed_forms_at_seeded_sizes():
+    rng = random.Random(11)
+    for n in [5000, *rng.sample(range(6, 5000), 6)]:
+        k = rng.randint(3, n - 3)
+        assert resistance_exact(bent_2tree(n, k), 1, n) == bent_resistance_product(BentParams(n, k))
+        i, j = sorted(rng.sample(range(1, n + 1), 2))
+        assert resistance_exact(straight_2tree(n), i, j) == straight_pair_resistance(n - 2, i, j - i)
+    start = time.perf_counter()
+    resistance_exact(bent_2tree(5000, 2500), 1, 5000)
+    assert time.perf_counter() - start < 1.0  # the envelope solve takes 3-4 s
+
+
+def test_chain_path_builds_no_envelope(monkeypatch):
+    monkeypatch.setattr("twotree.resistance._envelope_solve", lambda *args: pytest.fail("the envelope was solved"))
+    monkeypatch.setattr("twotree.resistance.accumulate", lambda *args: pytest.fail("envelope rows were built"))
+    assert resistance_exact(bent_2tree(12, 5), 1, 12) == bent_resistance_product(BentParams(12, 5))
+    assert resistance_exact(straight_2tree(9), 3, 7) == straight_pair_resistance(7, 3, 4)
+    # A chain read from text has weights equal to 1, not the builders' own.
+    chain = WeightedGraph.from_text(bent_2tree(9, 6).to_text())
+    assert resistance_exact(chain, 2, 8) == _resistance_plain_gauss(chain, 2, 8)
 
 
 def test_triangle_inequality_exhaustive():

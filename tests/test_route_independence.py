@@ -5,7 +5,9 @@ cannot see a route that reaches another at run time, through `importlib` or
 through a helper shared inside one module.  Each test here computes a box of
 values, replaces a layer's functions with raisers wherever a loaded twotree
 module binds them, and asks the routes that must not need that layer for
-the same values again.
+the same values again.  The exact oracle has two solves of its own: unit
+chains take the chain solve, every other graph the envelope solve, and
+each answers with the other poisoned.
 """
 
 import inspect
@@ -15,7 +17,7 @@ import pytest
 
 from twotree import formulas, reduction, resistance, sequences
 from twotree.formulas import BentParams
-from twotree.graphs import bent_2tree, straight_2tree
+from twotree.graphs import WeightedGraph, bent_2tree, straight_2tree
 
 BENT = [(n, k) for n in range(6, 21) for k in range(3, n - 2)]
 STRAIGHT = range(3, 21)
@@ -111,7 +113,41 @@ def test_closed_forms_answer_without_the_engine_and_the_oracles(monkeypatch):
 
 def test_float_oracle_answers_without_the_exact_solve(monkeypatch):
     before = float_oracle()
-    poison(monkeypatch, [resistance._envelope_solve])
+    poison(monkeypatch, [resistance._envelope_solve, resistance._chain_solve])
     with pytest.raises(Poisoned):
         resistance.resistance_exact(bent_2tree(8, 4), 1, 8)
+    with pytest.raises(Poisoned):
+        resistance.resistance_exact(WeightedGraph(3, [(1, 2, 1), (2, 3, 2)]), 1, 3)
     assert float_oracle() == before
+
+
+def reversed_chain(g: WeightedGraph) -> WeightedGraph:
+    """g with vertex v relabelled n + 1 - v: a chain, but not as the builders label it."""
+    return WeightedGraph(g.n, [(g.n + 1 - a, g.n + 1 - b, w) for a, b, w in g.edges])
+
+
+def test_envelope_solve_answers_without_the_chain_solve(monkeypatch):
+    chains = [(bent_2tree(n, k), 1, n) for n, k in BENT]
+    chains += [(straight_2tree(n), i, j) for n in STRAIGHT for i, j in straight_pairs(n)]
+    before = [resistance.resistance_exact(g, i, j) for g, i, j in chains]
+    poison(monkeypatch, [resistance._chain_solve])
+    with pytest.raises(Poisoned):
+        resistance.resistance_exact(bent_2tree(8, 4), 1, 8)
+    for (g, i, j), value in zip(chains, before):
+        doubled = WeightedGraph(g.n, [(a, b, 2) for a, b, _ in g.edges])
+        assert resistance.resistance_exact(doubled, i, j) == value / 2
+        mirror = reversed_chain(g)
+        if mirror != g:  # a straight chain reversed is itself
+            assert resistance.resistance_exact(mirror, g.n + 1 - i, g.n + 1 - j) == value
+
+
+def test_chain_solve_answers_without_the_envelope_solve(monkeypatch):
+    expected = closed_forms()
+    poison(monkeypatch, [resistance._envelope_solve])
+    with pytest.raises(Poisoned):
+        resistance.resistance_exact(reversed_chain(bent_2tree(8, 4)), 1, 8)
+    for n, k in BENT:
+        assert resistance.resistance_exact(bent_2tree(n, k), 1, n) == expected["bent", n, k][1]
+    for n in STRAIGHT:
+        for i, j in straight_pairs(n):
+            assert resistance.resistance_exact(straight_2tree(n), i, j) == expected["straight", n, i, j]
