@@ -81,16 +81,8 @@ class WeightedGraph:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    _connected: bool | None = None  # is_connected's answer, once walked
-
     def is_connected(self) -> bool:
-        """Whether every vertex is reachable from vertex 1: walked on the
-        first call, then kept, as the graph does not change."""
-        if self._connected is None:
-            self._connected = self._walk_reaches_all()
-        return self._connected
-
-    def _walk_reaches_all(self) -> bool:
+        """Whether every vertex is reachable from vertex 1."""
         adj: dict[int, list[int]] = {v: [] for v in range(1, self.n + 1)}
         for a, b, _ in self.edges:
             adj[a].append(b)

@@ -25,18 +25,16 @@ checks, which read the band off the edge list.  Each path refuses a graph
 priced over MAX_SWEEP_COST before it allocates a row; `exact_work` prices
 every graph, a chain too, as the envelope solve.
 
-The chain builders give every edge one shared unit weight, `graphs._UNIT`.
-Both paths tell it apart by identity and read no Fraction for it: the exact
-path then scales by 1, the float path takes 1.0.  Any other weight, equal
-to 1 or not, goes through its numerator and denominator.  Connectivity is
-the graph's own answer, walked once per graph, so the two paths of one
-record share a walk.
+A recognised chain is connected by construction, so the exact path does
+not walk it for connectivity or read its weights, all 1, again; it is still
+priced as the envelope solve, until the chain path has a price of its own.
+The general exact path and the float path walk every graph they solve.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate, repeat
+from itertools import accumulate
 from math import lcm
 from operator import mul
 
@@ -198,22 +196,21 @@ def resistance_exact(g: WeightedGraph, i: int, j: int, *, ground: int | None = N
     w = j if ground is None else ground
     width = _check_query(g, i, j, w)
     edges = g.edges
-    if all(wt is _UNIT for _, _, wt in edges):
-        # The chain builders' one shared weight: no Fraction is read.
-        scale, weights, total = 1, repeat(1), len(edges)
-    else:
+    shape = chain_shape(g)
+    if shape is None:
         scale = lcm(*(wt.denominator for _, _, wt in edges))
         weights = [wt.numerator * (scale // wt.denominator) for _, _, wt in edges]
         total = sum(weights)
+    else:
+        total = len(edges)  # every weight of a chain is 1
     work = exact_work(g.n, width, -(-2 * total // g.n))
     check_work(f"the exact oracle on {g.n} vertices (half-bandwidth {width})", work)
     if i == j:
         return Fraction(0)
-    if not g.is_connected():
-        raise GraphError("resistance is undefined on a disconnected graph")
-    shape = chain_shape(g)
     if shape is not None:
         return _chain_solve(g.n, shape[1], i, j)
+    if not g.is_connected():
+        raise GraphError("resistance is undefined on a disconnected graph")
 
     # Grounding w: its row and column become the identity's, so vertex v
     # keeps row v - 1.  Off the diagonal, the nonzeros are exactly the edges.

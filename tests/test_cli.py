@@ -715,8 +715,8 @@ def test_oracles_share_one_chain(capsys, monkeypatch, family, make_chain, argv, 
 
 
 def test_oversized_exact_request_is_usage_error(capsys):
-    # The exact oracle's bit work grows as n^3 on a chain, the float one's
-    # band solve as n.
+    # The exact oracle's price grows as n^3 on a chain, though its shooting
+    # does not; the float one's band solve grows as n.
     for method, n in (("exact", "20000"), ("float", "20000000")):
         code, out, err = run_cli(
             capsys, "resistance", "straight", "--n", n, "--i", "2", "--j", "9", "--methods", method

@@ -26,6 +26,8 @@ from twotree import (
     straight_2tree,
     straight_pair_resistance,
 )
+from twotree import cli
+from twotree.graphs import MAX_SWEEP_COST, chain_shape
 
 
 def _plain_gauss(g, j, sources):
@@ -196,17 +198,54 @@ def test_exact_oracle_never_builds_the_dense_laplacian(monkeypatch):
     assert resistance_exact(weighted, 4, 1, ground=2) == _resistance_plain_gauss(weighted, 4, 1)
 
 
-def test_exact_oracle_memory_is_sized_to_the_band():
-    n = 2000
-    g = bent_2tree(n, 1000)
+def _peak_bytes(call):
     tracemalloc.start()
     try:
-        resistance_exact(g, 1, n)
-        peak = tracemalloc.get_traced_memory()[1]
+        call()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # A dense n x n list of lists alone takes about 35 MB here.
-    assert peak < 8_000_000
+
+
+def test_exact_oracle_memory_is_sized_to_the_band(monkeypatch):
+    n = 2000
+    chain = bent_2tree(n, 1000)
+    # Relabelled v -> n + 1 - v, the bend is no builder's: the envelope
+    # solve takes it, 2.9 MB at its peak.
+    mirrored = WeightedGraph(n, [(n + 1 - a, n + 1 - b, w) for a, b, w in chain.edges])
+    with monkeypatch.context() as poisoned:
+        poisoned.setattr("twotree.resistance._chain_solve", lambda *args: pytest.fail("the chain was shot"))
+        # A dense n x n list of lists alone takes about 35 MB here.
+        assert _peak_bytes(lambda: resistance_exact(mirrored, 1, n)) < 8_000_000
+    assert _peak_bytes(lambda: resistance_exact(chain, 1, n)) < 8_000_000
+
+
+def _largest_exact_n(family):
+    """The largest n at which the CLI admits an `exact` record, by bisection
+    on its price; a bent chain takes its centred bend."""
+    cost = cli._ROUTES[family, "exact"].cost
+    admitted, refused = 6, 10**6
+    assert cost(refused, refused // 2) > MAX_SWEEP_COST
+    while refused - admitted > 1:
+        mid = (admitted + refused) // 2
+        if cost(mid, mid // 2) <= MAX_SWEEP_COST:
+            admitted = mid
+        else:
+            refused = mid
+    return admitted
+
+
+@pytest.mark.parametrize(("family", "bound"), [("bent", 33_000_000), ("straight", 41_000_000)])
+def test_chain_path_memory_at_the_edge_of_its_price(family, bound):
+    # The shoot keeps two or three arrays of O(n)-bit potentials, so its
+    # memory grows as n^2 bits: 22.1 MB at bent n = 10,030 and 27.5 MB at
+    # straight n = 11,955, the largest the CLI admits under `exact_work`,
+    # and 85 MB at 20,000.  The bounds are about 1.5 times those figures,
+    # so a chain price that admits larger chains fails here until the shoot
+    # stops keeping every potential.
+    n = _largest_exact_n(family)
+    g = bent_2tree(n, n // 2) if family == "bent" else straight_2tree(n)
+    assert _peak_bytes(lambda: resistance_exact(g, 1, n)) < bound
 
 
 def _every_chain(top):
@@ -375,19 +414,34 @@ def test_oracles_on_a_chain_of_weight_2():
         assert _float_close(resistance_float(mixed, 1, chain.n), r)
 
 
-def test_oracles_share_one_connectivity_walk(monkeypatch):
-    checks, walks = [], []
-    is_connected, walk = WeightedGraph.is_connected, WeightedGraph._walk_reaches_all
-    monkeypatch.setattr(WeightedGraph, "is_connected", lambda self: checks.append(1) or is_connected(self))
-    monkeypatch.setattr(WeightedGraph, "_walk_reaches_all", lambda self: walks.append(1) or walk(self))
-    g = bent_2tree(12, 5)
-    assert resistance_exact(g, 1, 12) == bent_resistance_product(BentParams(12, 5))
-    assert _float_close(resistance_float(g, 1, 12), resistance_exact(g, 1, 12))
-    assert (len(checks), len(walks)) == (3, 1)
-    parts = WeightedGraph(4, [(1, 2, 1), (3, 4, 1)])
+def test_exact_oracle_neither_scans_nor_walks_a_recognised_chain(monkeypatch):
+    # chain_shape runs once, before the price.  A recognised chain, built or
+    # read from text, is then shot with no weight scan and no connectivity
+    # walk; any other graph is still scanned and walked.
+    calls = []
+    walk = WeightedGraph.is_connected
+    monkeypatch.setattr("twotree.resistance.chain_shape", lambda g: calls.append("shape") or chain_shape(g))
+    monkeypatch.setattr("twotree.resistance.check_work", lambda what, work: calls.append("price"))
+    monkeypatch.setattr(WeightedGraph, "is_connected", lambda self: calls.append("walk") or walk(self))
+    chain = bent_2tree(12, 5)
+    bent = bent_resistance_product(BentParams(12, 5))
+    with monkeypatch.context() as poisoned:
+        poisoned.setattr("twotree.resistance.lcm", lambda *args: pytest.fail("a chain's weights were scanned"))
+        for g, i, j, value in [
+            (chain, 1, 12, bent),
+            (WeightedGraph.from_text(chain.to_text()), 1, 12, bent),
+            (straight_2tree(9), 3, 7, straight_pair_resistance(7, 3, 4)),
+            (straight_2tree(9), 4, 4, 0),
+        ]:
+            calls.clear()
+            assert resistance_exact(g, i, j) == value
+            assert calls == ["shape", "price"]
+    calls.clear()
+    with pytest.raises(GraphError, match="disconnected"):
+        resistance_exact(WeightedGraph(4, [(1, 2, 1), (3, 4, 1)]), 1, 4)
+    assert calls == ["shape", "price", "walk"]
+    # The float oracle walks every graph it solves, each time.
+    calls.clear()
     for _ in range(2):
-        with pytest.raises(GraphError, match="disconnected"):
-            resistance_exact(parts, 1, 4)
-        with pytest.raises(GraphError, match="disconnected"):
-            resistance_float(parts, 1, 4)
-    assert len(walks) == 2
+        assert _float_close(resistance_float(chain, 1, 12), bent)
+    assert calls == ["price", "walk"] * 2
