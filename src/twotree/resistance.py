@@ -47,9 +47,11 @@ def exact_work(n: int, width: int, diagonal: int) -> int:
     20 us a vertex to build, 100 n^2 for its O(n)-bit rows, and up to
     (width + 1)^2 row operations a vertex on minors that grow by about
     diagonal.bit_length() bits a step (Hadamard's and the AM-GM inequality),
-    with divisions quadratic in their length.  0.27 / 0.85 / 3.9 s on a
-    centred bend at n = 2000 / 3000 / 5000; 0.09 / 0.7 s on a chain shuffled
-    at n = 200 / 400, whose envelope stays sparse."""
+    with divisions quadratic in their length.  On the general path, 0.18 /
+    0.56 s on a mirrored centred bend (v -> n + 1 - v) at n = 2000 / 3000;
+    0.08 / 0.64 s on a chain shuffled at n = 200 / 400, whose envelope
+    stays sparse; 1.4-1.5 s on a band of half-bandwidth 2 weighted a/b
+    (a, b <= 9) at n = 1000, just over this price."""
     return 100_000 + 20_000 * n + 100 * n * n + n * (width + 1) ** 2 * (200 + (n * diagonal.bit_length()) ** 2 // 1620)
 
 

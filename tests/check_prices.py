@@ -12,8 +12,11 @@ n = 6, 40, 200, 1000 and 2000, at 10^4 and 10^5 for the closed forms and
 `float`, at 3000 and 5000 for `exact`, and at 3000 (a centred and an edge
 bend) and 10^4 (centred) for the bent engine; a size is kept only while the
 route's work is within MAX_SWEEP_COST.  It also times library calls of
-`resistance_exact` on straight chains with shuffled labels, at n = 200 and
-400, against `exact_work` of their band.  It prints the table and fails
+`resistance_exact` on graphs that take its general path, against the
+`exact_work` price the call computes: straight chains with shuffled labels
+at n = 200 and 400, seeded bands of half-bandwidth 2 with weights a/b
+(a, b <= 9) at n = 500 and 1000, and the mirrored bent chain (v -> n + 1 - v)
+at n = 2000.  It prints the table and fails
 when a median exceeds FACTOR times its price.  Next to each raw median the
 table prints a normalised one: each timed call scaled by the kernel of
 bench/calibrate.py sampled before and after it, so that rows timed in a
@@ -30,10 +33,12 @@ import random
 import statistics
 import sys
 import time
+from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 from twotree import cli, resistance
-from twotree.graphs import MAX_SWEEP_COST, WeightedGraph, straight_2tree
+from twotree.graphs import MAX_SWEEP_COST, WeightedGraph, bent_2tree, straight_2tree
 
 FACTOR = 2
 SIZES = (6, 40, 200, 1000, 2000)
@@ -47,6 +52,8 @@ LARGER = {
 }
 ENGINE_BENDS = ((3000, 1500), (3000, 3), (10_000, 5000))
 SHUFFLED_SIZES = (200, 400)
+BAND_SIZES = (500, 1000)
+MIRRORED_BEND = 2000
 CALIBRATE = Path(__file__).resolve().parents[1] / "bench" / "calibrate.py"
 
 
@@ -121,6 +128,37 @@ def shuffled_chain(n: int) -> tuple[WeightedGraph, list[int]]:
     return WeightedGraph(n, [(label[a - 1], label[b - 1], w) for a, b, w in chain.edges]), label
 
 
+def weighted_band(n: int) -> WeightedGraph:
+    """Every edge (a, b) with 0 < b - a <= 2, weighted a/b with a, b <= 9."""
+    rng = random.Random(7)
+    pairs = [(a, b) for a in range(1, n) for b in (a + 1, a + 2) if b <= n]
+    return WeightedGraph(n, [(a, b, Fraction(rng.randint(1, 9), rng.randint(1, 9))) for a, b in pairs])
+
+
+def mirrored_bend(n: int) -> WeightedGraph:
+    """The centred bent chain with vertex v relabelled n + 1 - v: no builder's
+    bend, so `chain_shape` does not recognise it."""
+    return WeightedGraph(n, [(n + 1 - a, n + 1 - b, w) for a, b, w in bent_2tree(n, _centre(n)).edges])
+
+
+def general_cases():
+    """(label, graph, i, j) of every library call timed on the general path."""
+    for n in SHUFFLED_SIZES:
+        g, label = shuffled_chain(n)
+        yield "shuffled", g, label[1], label[-2]
+    for n in BAND_SIZES:
+        yield "weighted band", weighted_band(n), 1, n
+    yield "mirrored", mirrored_bend(MIRRORED_BEND), 1, MIRRORED_BEND
+
+
+def general_price(g: WeightedGraph, i: int, j: int) -> float:
+    """`exact_work` in seconds, with the arguments `resistance_exact` gives it
+    on the general path: the weights scaled to integers by their lcm."""
+    scale = lcm(*(wt.denominator for _, _, wt in g.edges))
+    total = sum(wt.numerator * (scale // wt.denominator) for _, _, wt in g.edges)
+    return resistance.exact_work(g.n, resistance._check_query(g, i, j, j), -(-2 * total // g.n)) * 1e-9
+
+
 def measure() -> list[tuple]:
     """One row per case: the case, its raw and normalised medians and its
     price, all in seconds."""
@@ -128,13 +166,9 @@ def measure() -> list[tuple]:
     for family, tag, n, k, i, j in cases():
         seconds = median_seconds(_record(family, tag, n, k, i, j))
         rows.append((family, tag, n, k, i, j, *seconds, cli._ROUTES[family, tag].cost(n, k) * 1e-9))
-    for n in SHUFFLED_SIZES:
-        g, label = shuffled_chain(n)
-        i, j = label[1], label[-2]
-        # A unit straight chain's mean degree, rounded up, is 4.
-        price = resistance.exact_work(n, resistance._check_query(g, i, j, j), 4) * 1e-9
+    for family, g, i, j in general_cases():
         seconds = median_seconds(lambda: resistance.resistance_exact(g, i, j))
-        rows.append(("shuffled", "exact", n, None, i, j, *seconds, price))
+        rows.append((family, "exact", g.n, None, i, j, *seconds, general_price(g, i, j)))
     return rows
 
 

@@ -14,6 +14,27 @@ def test_registry_shape():
     assert not REGISTRY["I-B.51/52"].in_run_all
 
 
+def test_catalogue_order():
+    # REGISTRY follows the order in which the check functions are declared,
+    # and run_all and `verify` report in that order.
+    in_run_all = [
+        "I-2.1", "I-2.2", "I-2.3/2.4", "I-2.5", "I-2.6", "I-2.7", "I-2.8", "I-2.9", "I-2.10",
+        "I-2.11", "I-2.12", "I-2.13", "I-3.2", "I-3.4", "I-3.5", "I-A.1", "I-A.2", "I-A.3", "I-A.4",
+    ]
+    assert list(REGISTRY) == in_run_all + ["I-B.51/52"]
+    assert [r.identity_id for r in run_all("small")] == in_run_all
+
+
+def test_params_are_the_check_functions_required_ones():
+    assert REGISTRY["I-2.12"].params == ("n", "a", "b", "c")
+    assert REGISTRY["I-2.5"].params == ("n", "m")
+    # the optional `tail` of the partial-sum pair is no parameter
+    partial = REGISTRY["I-B.51/52"]
+    assert partial.params == ("m",)
+    assert partial.fn is twotree.identities._tail_partial_sum_pairs
+    assert partial.ranges["deep"] == {"m": (1, 500)}
+
+
 def test_four_factor_point_value():
     entry = REGISTRY["I-2.12"]
     ((lhs, rhs),) = entry.fn(n=5, a=1, b=2, c=3)
