@@ -115,10 +115,6 @@ def tail_sum_closed_form(j: int) -> Fraction:
     if j < 0:
         raise ValueError("tail sums are defined for j >= 0")
     check_index(j + 1)
-    return _tail_sum_closed(j)
-
-
-def _tail_sum_closed(j: int) -> Fraction:
     return Fraction((j + 1) * lucas(j + 1) - fib(j + 1), 5 * lucas(j + 1))
 
 
@@ -127,16 +123,23 @@ def bent_resistance_product(params: BentParams) -> Fraction:
 
     A ratio of two Fibonacci quadratics over F_{2k-2} F_{2l+2} F_{2m+2},
     plus the two tail sums accumulated by the side reductions, each in
-    closed form.
+    closed form: N_j / (5 L_{j+1}) with N_j = (j+1) L_{j+1} - F_{j+1}, for
+    j = p and l.  As F_{2j+2} = F_{j+1} L_{j+1}, with p = k - 2 the tails
+    share the core's denominator, and the sum is one Fraction:
+
+        (5 first second + F_{2m+2} (N_p F_{p+1} F_{2l+2} + N_l F_{l+1} F_{2k-2}))
+            / (5 F_{2k-2} F_{2l+2} F_{2m+2}).
     """
-    k, ell, m = params.k, params.ell, params.m
+    k, ell, m, p = params.k, params.ell, params.m, params.p
     check_index(2 * m + 2)
     f2l = fib(2 * ell + 2)
     f2k = fib(2 * k - 2)
-    first = f2l * fib(k - 1) ** 2 + f2k * fib(ell) ** 2
-    second = f2l * fib(k - 2) ** 2 + f2k * fib(ell + 1) ** 2 + f2k * f2l
-    core = Fraction(first * second, f2k * f2l * fib(2 * m + 2))
-    return core + _tail_sum_closed(params.p) + _tail_sum_closed(ell)
+    f2m = fib(2 * m + 2)
+    fp, fl = fib(p + 1), fib(ell + 1)  # F_{k-1} and F_{l+1}
+    first = f2l * fp**2 + f2k * fib(ell) ** 2
+    second = f2l * fib(k - 2) ** 2 + f2k * fl**2 + f2k * f2l
+    tails = ((p + 1) * lucas(p + 1) - fp) * fp * f2l + ((ell + 1) * lucas(ell + 1) - fl) * fl * f2k
+    return Fraction(5 * first * second + f2m * tails, 5 * f2k * f2l * f2m)
 
 
 def _alternating_summand(m: int, j: int) -> int:

@@ -82,7 +82,15 @@ class WeightedGraph:
         return len(self.edges)
 
     def is_connected(self) -> bool:
-        """Whether every vertex is reachable from vertex 1."""
+        """Whether every vertex is reachable from vertex 1.
+
+        Each edge (a, b) has a < b, so when the b's cover 2..n every vertex
+        past 1 has a lower neighbour and, by induction, reaches 1: the chain
+        builders' graphs are accepted so, without a walk.  Any other graph
+        is walked from vertex 1.
+        """
+        if len({b for _, b, _ in self.edges}) == self.n - 1:
+            return True
         adj: dict[int, list[int]] = {v: [] for v in range(1, self.n + 1)}
         for a, b, _ in self.edges:
             adj[a].append(b)

@@ -85,15 +85,30 @@ def series_combine(a: Fraction | int, b: Fraction | int) -> Fraction:
     return _coprime_fraction(*_add_pairs((ra.numerator, ra.denominator), (rb.numerator, rb.denominator)))
 
 
+def _parallel_pairs(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+    """a*b / (a + b) of two unchecked (numerator, denominator) pairs.
+
+    Both positive and in lowest terms; so is the result.  With a = na/da and
+    b = nb/db it is na*nb / (na*db + nb*da), reduced by one gcd.
+    """
+    na, da = a
+    nb, db = b
+    num, den = na * nb, na * db + nb * da
+    g = gcd(num, den)
+    return num // g, den // g
+
+
 def parallel_combine(a: Fraction | int, b: Fraction | int) -> Fraction:
     """Resistance of two resistors in parallel: a*b / (a + b).
 
-    Non-positive resistances are rejected as non-physical.
+    The same reduced Fraction as plain Fraction arithmetic, by
+    `_parallel_pairs`.  Non-positive resistances are rejected as
+    non-physical.
     """
     ra, rb = as_rational(a), as_rational(b)
     if ra.numerator <= 0 or rb.numerator <= 0:
         raise ValueError("parallel combination needs strictly positive resistances")
-    return ra * rb / (ra + rb)
+    return _coprime_fraction(*_parallel_pairs((ra.numerator, ra.denominator), (rb.numerator, rb.denominator)))
 
 
 def _int_string(i: int) -> str:

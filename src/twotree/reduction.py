@@ -49,14 +49,20 @@ def delta_y(
 
     With s = r_a + r_b + r_c the branches are (r_b*r_c/s, r_a*r_c/s,
     r_a*r_b/s); branch i attaches to the triangle node opposite edge i.
+    Over the common denominator qa*qb*qc of r_a = pa/qa, r_b = pb/qb and
+    r_c = pc/qc, s is S = pa*qb*qc + pb*qa*qc + pc*qa*qb, and the branches
+    are pb*pc*qa/S, pa*pc*qb/S and pa*pb*qc/S, each reduced once.
     The engine's own transforms use `_chain_branches`; the engine calls
     this once per side run, to check that run's last transform.
     """
     a, b, c = as_rational(r_a), as_rational(r_b), as_rational(r_c)
-    if a.numerator <= 0 or b.numerator <= 0 or c.numerator <= 0:
+    pa, qa = a.numerator, a.denominator
+    pb, qb = b.numerator, b.denominator
+    pc, qc = c.numerator, c.denominator
+    if pa <= 0 or pb <= 0 or pc <= 0:
         raise ReductionError("triangle resistances must be strictly positive")
-    s = a + b + c
-    return b * c / s, a * c / s, a * b / s
+    s = pa * qb * qc + pb * qa * qc + pc * qa * qb
+    return Fraction(pb * pc * qa, s), Fraction(pa * pc * qb, s), Fraction(pa * pb * qc, s)
 
 
 def _chain_branches(a: tuple[int, int], b: tuple[int, int]) -> tuple[tuple[int, int], ...]:

@@ -26,9 +26,11 @@ priced over MAX_SWEEP_COST before it allocates a row; `exact_work` prices
 every graph, a chain too, as the envelope solve.
 
 A recognised chain is connected by construction, so the exact path does
-not walk it for connectivity or read its weights, all 1, again; it is still
-priced as the envelope solve, until the chain path has a price of its own.
-The general exact path and the float path walk every graph they solve.
+not check it for connectivity or read its weights, all 1, again; it is
+still priced as the envelope solve, until the chain path has a price of its
+own.  The general exact path and the float path check every graph they
+solve with `WeightedGraph.is_connected`, which accepts a chain without a
+walk.
 """
 
 from __future__ import annotations
@@ -50,9 +52,29 @@ def exact_work(n: int, width: int, diagonal: int) -> int:
     with divisions quadratic in their length.  On the general path, 0.18 /
     0.56 s on a mirrored centred bend (v -> n + 1 - v) at n = 2000 / 3000;
     0.08 / 0.64 s on a chain shuffled at n = 200 / 400, whose envelope
-    stays sparse; 1.4-1.5 s on a band of half-bandwidth 2 weighted a/b
-    (a, b <= 9) at n = 1000, just over this price."""
+    stays sparse; 1.4-1.7 s on a band of half-bandwidth 2 weighted a/b
+    (a, b <= 9) at n = 1000, priced by `general_work`."""
     return 100_000 + 20_000 * n + 100 * n * n + n * (width + 1) ** 2 * (200 + (n * diagonal.bit_length()) ** 2 // 1620)
+
+
+def general_work(g: WeightedGraph, width: int) -> tuple[int, int, list[int]]:
+    """`exact_work` of g on the exact oracle's general path, with the lcm
+    `scale` of its weights' denominators and its weights times `scale`,
+    which the solve reads.
+
+    The diagonal passed on is `scale` times the mean diagonal entry of
+    scale * L, rounded up.  On unit weights that is the mean degree, whose
+    bit length (3 on a chain) is about twice the 1.4 bits a step by which a
+    chain's minors grow; this price is fitted to that.  Every minor of
+    scale * L carries a power of the scale, so log2(scale) bits a step are
+    growth it really has; counting them twice keeps the same margin.  A band
+    weighted a/b (a, b <= 9, scale 2520) grows by 12.9 bits a step and is
+    priced at 26, where the mean alone gave 14 and the price fell under its
+    time.
+    """
+    scale = lcm(*(wt.denominator for _, _, wt in g.edges))
+    weights = [wt.numerator * (scale // wt.denominator) for _, _, wt in g.edges]
+    return exact_work(g.n, width, scale * -(-2 * sum(weights) // g.n)), scale, weights
 
 
 def float_work(n: int, width: int) -> int:
@@ -200,12 +222,9 @@ def resistance_exact(g: WeightedGraph, i: int, j: int, *, ground: int | None = N
     edges = g.edges
     shape = chain_shape(g)
     if shape is None:
-        scale = lcm(*(wt.denominator for _, _, wt in edges))
-        weights = [wt.numerator * (scale // wt.denominator) for _, _, wt in edges]
-        total = sum(weights)
+        work, scale, weights = general_work(g, width)
     else:
-        total = len(edges)  # every weight of a chain is 1
-    work = exact_work(g.n, width, -(-2 * total // g.n))
+        work = exact_work(g.n, width, -(-2 * len(edges) // g.n))  # every weight of a chain is 1
     check_work(f"the exact oracle on {g.n} vertices (half-bandwidth {width})", work)
     if i == j:
         return Fraction(0)

@@ -34,7 +34,6 @@ import statistics
 import sys
 import time
 from fractions import Fraction
-from math import lcm
 from pathlib import Path
 
 from twotree import cli, resistance
@@ -152,11 +151,8 @@ def general_cases():
 
 
 def general_price(g: WeightedGraph, i: int, j: int) -> float:
-    """`exact_work` in seconds, with the arguments `resistance_exact` gives it
-    on the general path: the weights scaled to integers by their lcm."""
-    scale = lcm(*(wt.denominator for _, _, wt in g.edges))
-    total = sum(wt.numerator * (scale // wt.denominator) for _, _, wt in g.edges)
-    return resistance.exact_work(g.n, resistance._check_query(g, i, j, j), -(-2 * total // g.n)) * 1e-9
+    """The price `resistance_exact` checks on the general path, in seconds."""
+    return resistance.general_work(g, resistance._check_query(g, i, j, j))[0] * 1e-9
 
 
 def measure() -> list[tuple]:

@@ -233,6 +233,43 @@ def test_connectivity_detection():
     assert not _is_biconnected(path)  # middle vertex is a cut vertex
 
 
+def _connected_by_union_find(g):
+    """Referee: whether the edges join all of 1..n into one class."""
+    parent = list(range(g.n + 1))
+
+    def root(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for a, b, _ in g.edges:
+        parent[root(a)] = root(b)
+    return len({root(v) for v in range(1, g.n + 1)}) == 1
+
+
+@st.composite
+def _any_graphs(draw):
+    n = draw(st.integers(1, 9))
+    pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return WeightedGraph(n, [(a, b, 1) for a, b in chosen])
+
+
+@settings(deadline=None, max_examples=400)
+@given(g=_any_graphs())
+# Connected, but vertex 2's one neighbour is 3, so it has no lower neighbour
+# and the graph is walked.
+@example(g=WeightedGraph(3, [(1, 3, 1), (2, 3, 1)]))
+@example(g=WeightedGraph(5, [(1, 3, 1), (2, 3, 1), (3, 4, 1), (4, 5, 1)]))
+@example(g=WeightedGraph(4, [(1, 2, 1), (3, 4, 1)]))
+@example(g=WeightedGraph(4, [(2, 3, 1), (2, 4, 1), (3, 4, 1)]))  # vertex 1 cut off
+@example(g=WeightedGraph(1, []))
+def test_connectivity_matches_union_find(g):
+    mirrored = WeightedGraph(g.n, [(g.n + 1 - a, g.n + 1 - b, w) for a, b, w in g.edges])
+    for graph in (g, mirrored):
+        assert graph.is_connected() == _connected_by_union_find(graph)
+
+
 
 def _chains(n):
     """Every chain on n vertices with its shape: the straight one, then each bend."""

@@ -183,6 +183,35 @@ def test_combination_properties_random():
             assert math.gcd(abs(value.numerator), value.denominator) == 1
 
 
+# Ints, small fractions and fractions of thousands of bits, with zero and
+# negative values that the combinators refuse.
+_huge = st.integers(2**2000, 2**4000)
+_signed_operands = st.one_of(
+    st.integers(-5, 10**6),
+    st.builds(Fraction, st.integers(-50, 50), st.integers(1, 50)),
+    st.builds(Fraction, _huge, _huge),
+    st.builds(Fraction, st.integers(1, 10**6), _huge),
+    st.builds(lambda a, b: -Fraction(a, b), _huge, _huge),
+)
+
+
+@settings(deadline=None, max_examples=400)
+@given(a=_signed_operands, b=_signed_operands)
+def test_combinators_are_plain_fraction_arithmetic(a, b):
+    ra, rb = Fraction(a), Fraction(b)
+    for combine, ref, refused in (
+        (series_combine, lambda: ra + rb, ra < 0 or rb < 0),
+        (parallel_combine, lambda: ra * rb / (ra + rb), ra <= 0 or rb <= 0),
+    ):
+        if refused:
+            with pytest.raises(ValueError):
+                combine(a, b)
+            continue
+        value, expected = combine(a, b), ref()
+        assert type(value) is Fraction
+        assert (value.numerator, value.denominator) == (expected.numerator, expected.denominator)
+
+
 def test_ratio_string_round_trip():
     values = [Fraction(0), Fraction(6, 5), Fraction(-3, 7), Fraction(15, 11), Fraction(4)]
     for q in values:
