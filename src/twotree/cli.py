@@ -31,10 +31,9 @@ from .formulas import (
 from .graphs import MAX_SWEEP_COST, GraphError, WeightedGraph, bent_2tree, chain_shape, check_work, straight_2tree, units
 from .rational import decimal_string, ratio_string
 from .reduction import ReductionError, engine_work, reduce_bent, reduce_straight_state
-from .resistance import exact_work, float_work, resistance_exact, resistance_float
+from .resistance import chain_work, float_work, resistance_exact, resistance_float
 
 FLOAT_RELATIVE_TOLERANCE = 1e-9
-ORACLE_DEFAULT_CUTOFF = 200
 # A sweep holds every record in memory until it prints them, so larger
 # grids are refused before any record is computed.
 MAX_SWEEP_RECORDS = 10_000
@@ -58,9 +57,9 @@ _Route = namedtuple("_Route", ("call", "cost"))
 # is the work of one record by the work function of the route's module, about
 # 1 ns a unit, summed over a batch against MAX_SWEEP_COST.  A call looks its
 # function up in this module when it runs, so a wrapper or stub set here
-# reaches it.  The oracles price a chain by its grounded Laplacian:
-# half-bandwidth 3 with a bend and 2 without, and mean degree 4 - 6/n, rounded
-# up.  tests/check_prices.py times every route against its price.
+# reaches it.  `exact` shoots a chain, priced by `chain_work`; `float` prices
+# a chain by the half-bandwidth of its grounded Laplacian, 3 with a bend and 2
+# without.  tests/check_prices.py times every route against its price.
 _ROUTES = {
     ("bent", "alternating"): _Route(
         lambda n, k, i, j, g: bent_resistance_alternating(BentParams(n, k)),
@@ -73,7 +72,7 @@ _ROUTES = {
         engine_work),
     ("bent", "exact"): _Route(
         lambda n, k, i, j, g: resistance_exact(g, i, j),
-        lambda n, k: exact_work(n, 3, 4)),
+        lambda n, k: chain_work(n)),
     ("bent", "float"): _Route(
         lambda n, k, i, j, g: resistance_float(g, i, j),
         lambda n, k: float_work(n, 3)),
@@ -85,7 +84,7 @@ _ROUTES = {
         lambda n, k: engine_work(n, n)),
     ("straight", "exact"): _Route(
         lambda n, k, i, j, g: resistance_exact(g, i, j),
-        lambda n, k: exact_work(n, 2, 4)),
+        lambda n, k: chain_work(n)),
     ("straight", "float"): _Route(
         lambda n, k, i, j, g: resistance_float(g, i, j),
         lambda n, k: float_work(n, 2)),
@@ -96,13 +95,13 @@ ENDS_ONLY = {"engine"}
 ORACLES = {"exact", "float"}
 
 
-def _default_methods(family: str, n: int, ends: bool) -> list[str]:
+def _default_methods(family: str, ends: bool) -> list[str]:
     """The routes a query runs unless --methods names others: the closed form
-    and the engine at (1, n); for another pair, which only a straight chain
-    has, `formula`, plus `exact` while n <= ORACLE_DEFAULT_CUTOFF."""
+    and the engine at (1, n); `formula` and `exact` at another pair, which
+    only a straight chain has."""
     if ends:
         return ["alternating" if family == "bent" else "formula", "engine"]
-    return ["formula", "exact"] if n <= ORACLE_DEFAULT_CUTOFF else ["formula"]
+    return ["formula", "exact"]
 
 
 def _applicable_routes(family: str, ends: bool) -> dict[str, _Route]:
@@ -113,7 +112,7 @@ def _resolve_methods(requested: Optional[str], family: str, n: int, i: int, j: i
     """The routes a query runs; refuses any inapplicable or repeated one."""
     ends = (i, j) == (1, n)
     if requested is None or requested == "default":
-        return _default_methods(family, n, ends)
+        return _default_methods(family, ends)
     routes = _applicable_routes(family, ends)
     if requested == "all":
         return list(routes)
@@ -233,9 +232,6 @@ def _run_points(command: str, family: str, points, args, out) -> int:
     points = list(itertools.islice(points, MAX_SWEEP_RECORDS + 1))
     if len(points) > MAX_SWEEP_RECORDS:
         raise UsageError(f"sweep of more than {MAX_SWEEP_RECORDS} records exceeds MAX_SWEEP_RECORDS")
-    # A batch of several points is a sweep of end pairs (1, n), whose default
-    # routes do not depend on n, so the routes chosen at the last and largest
-    # n serve every point.
     methods = []
     if points:
         n, _, i, j = points[-1]

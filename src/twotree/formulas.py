@@ -21,7 +21,8 @@ from .sequences import _fib as fib, _lucas as lucas, check_index
 def closed_form_work(n: int) -> int:
     """One closed-form value on n vertices, rendered, in units of about 1 ns:
     gcd and rendering of O(n) bits grow as n^2.  Above `product` with an edge
-    bend, the slowest: 0.47 ms / 0.40 s / 42 s at n = 2000 / 10^5 / 10^6.
+    bend, the slowest: a record took 0.2-0.3 ms / 0.29-0.32 s / 25 s at n =
+    2000 / 10^5 / 10^6 (Python 3.11, one core of a 2-vCPU VM).
     The library's bound on these routes is TWO_TREE_CACHE_LIMIT."""
     return 100_000 + 100 * n + n * n // 16
 

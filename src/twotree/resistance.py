@@ -5,9 +5,10 @@ k)` as `graphs.chain_shape` reads it off the edge list, by Kirchhoff
 shooting.  It grounds v_1 = 0 and takes v_2, and v_{k+2} with a bend, as
 parameters; each Kirchhoff row then gives the potential of its largest
 neighbour as an integer affine form in them, with no division, in O(n)
-big-integer additions.  The rows left over, row n and with a bend row
-k + 1, make a 1x1 or 2x2 integer system, solved by Cramer's rule into one
-Fraction: one gcd in all.
+big-integer additions.  Only a window of four potentials is held at a
+time, so memory stays at O(n) bits.  The rows left over, row n and with a
+bend row k + 1, make a 1x1 or 2x2 integer system, solved by Cramer's rule
+into one Fraction: one gcd in all.
 
 Every other graph, weighted, relabelled or not a chain, takes the general
 exact path, and the float path takes every graph.  Both ground one vertex:
@@ -22,15 +23,14 @@ Gaussian elimination without pivoting inside it: a chain's half-bandwidth
 is at most 3, so it costs O(n) float operations.  It exists to cross-check
 the exact path, never to feed it, and shares no code with it past the query
 checks, which read the band off the edge list.  Each path refuses a graph
-priced over MAX_SWEEP_COST before it allocates a row; `exact_work` prices
-every graph, a chain too, as the envelope solve.
+priced over MAX_SWEEP_COST before it allocates a row: `chain_work` prices
+the chain path, `general_work` the general one and `float_work` the float
+path.
 
 A recognised chain is connected by construction, so the exact path does
-not check it for connectivity or read its weights, all 1, again; it is
-still priced as the envelope solve, until the chain path has a price of its
-own.  The general exact path and the float path check every graph they
-solve with `WeightedGraph.is_connected`, which accepts a chain without a
-walk.
+not check it for connectivity or read its weights, all 1, again.  The
+general exact path and the float path check every graph they solve with
+`WeightedGraph.is_connected`, which accepts a chain without a walk.
 """
 
 from __future__ import annotations
@@ -43,38 +43,44 @@ from operator import mul
 from .graphs import _UNIT, GraphError, WeightedGraph, chain_shape, check_work
 
 
-def exact_work(n: int, width: int, diagonal: int) -> int:
-    """The exact oracle in units of about 1 ns, on n vertices whose grounded
-    Laplacian has half-bandwidth `width` and mean diagonal entry `diagonal`:
-    20 us a vertex to build, 100 n^2 for its O(n)-bit rows, and up to
-    (width + 1)^2 row operations a vertex on minors that grow by about
-    diagonal.bit_length() bits a step (Hadamard's and the AM-GM inequality),
-    with divisions quadratic in their length.  On the general path, 0.18 /
-    0.56 s on a mirrored centred bend (v -> n + 1 - v) at n = 2000 / 3000;
-    0.08 / 0.64 s on a chain shuffled at n = 200 / 400, whose envelope
-    stays sparse; 1.4-1.7 s on a band of half-bandwidth 2 weighted a/b
-    (a, b <= 9) at n = 1000, priced by `general_work`."""
-    return 100_000 + 20_000 * n + 100 * n * n + n * (width + 1) ** 2 * (200 + (n * diagonal.bit_length()) ** 2 // 1620)
+def chain_work(n: int) -> int:
+    """The exact oracle's chain path in units of about 1 ns, on n vertices:
+    two or three coordinates of n potentials, each found by four additions
+    of integers of up to about 1.4 n bits, so time grows as n^2, and the
+    chain and record built around them, linear in n.  A record took 1.2-1.8 /
+    109-124 / 2200-2400 ms at a centred bend of n = 1000 / 2 * 10^4 / 10^5,
+    and 1.0-1.1 / 92-107 / 1700-2050 ms at the straight pair (2, n - 1)
+    (Python 3.11, one core of a 2-vCPU VM): 0.3-0.75 of its price."""
+    return 100_000 + 2_000 * n + n * n // 2
 
 
 def general_work(g: WeightedGraph, width: int) -> tuple[int, int, list[int]]:
-    """`exact_work` of g on the exact oracle's general path, with the lcm
-    `scale` of its weights' denominators and its weights times `scale`,
-    which the solve reads.
+    """The exact oracle's general path in units of about 1 ns, on g grounded
+    with half-bandwidth `width`, with the lcm `scale` of its weights'
+    denominators and its weights times `scale`, which the solve reads.
 
-    The diagonal passed on is `scale` times the mean diagonal entry of
-    scale * L, rounded up.  On unit weights that is the mean degree, whose
-    bit length (3 on a chain) is about twice the 1.4 bits a step by which a
-    chain's minors grow; this price is fitted to that.  Every minor of
-    scale * L carries a power of the scale, so log2(scale) bits a step are
-    growth it really has; counting them twice keeps the same margin.  A band
-    weighted a/b (a, b <= 9, scale 2520) grows by 12.9 bits a step and is
-    priced at 26, where the mean alone gave 14 and the price fell under its
-    time.
+    20 us a vertex to build, 100 n^2 for its O(n)-bit rows, and up to
+    (width + 1)^2 row operations a vertex on minors that grow by about b
+    bits a step (Hadamard's and the AM-GM inequality), with divisions
+    quadratic in their length.  b is the bit length of `scale` times the
+    mean diagonal entry of scale * L, rounded up.  On unit weights that is
+    the mean degree, whose bit length (3 on a chain) is about twice the 1.4
+    bits a step by which a chain's minors grow; this price is fitted to
+    that.  Every minor of scale * L carries a power of the scale, so
+    log2(scale) bits a step are growth it really has; counting them twice
+    keeps the same margin.  A band weighted a/b (a, b <= 9, scale 2520)
+    grows by 12.9 bits a step and is priced at 26, where the mean alone gave
+    14 and the price fell under its time.  Measured: 0.18 / 0.56 s on a
+    mirrored centred bend (v -> n + 1 - v) at n = 2000 / 3000; 0.08 / 0.64 s
+    on a chain shuffled at n = 200 / 400, whose envelope stays sparse;
+    1.4-1.7 s on a band of half-bandwidth 2 weighted a/b at n = 1000.
     """
+    n = g.n
     scale = lcm(*(wt.denominator for _, _, wt in g.edges))
     weights = [wt.numerator * (scale // wt.denominator) for _, _, wt in g.edges]
-    return exact_work(g.n, width, scale * -(-2 * sum(weights) // g.n)), scale, weights
+    growth = (scale * -(-2 * sum(weights) // n)).bit_length()
+    work = 100_000 + 20_000 * n + 100 * n * n + n * (width + 1) ** 2 * (200 + (n * growth) ** 2 // 1620)
+    return work, scale, weights
 
 
 def float_work(n: int, width: int) -> int:
@@ -141,29 +147,53 @@ def _envelope_solve(upper: list[list[int]], lo: list[int], rhs: list[int]) -> tu
     return y, prev
 
 
-def _shoot(v: list[int], n: int, bend: int | None, current: list[int]) -> None:
-    """Fill in v[3..n], one coordinate of a unit chain's potentials, from
-    v[1] = 0, v[2] and, with a bend at k, v[k + 2].
+def _rows(window: tuple[int, int, int, int], rows: range, current: dict[int, int], load: int):
+    """Shoot Kirchhoff rows of degree 4 in order: row r, 4 v_r minus v at
+    r - 2, r - 1, r + 1 and r + 2 = load * current[r], gives v_{r+2} from
+    the `window` v_{r-2}..v_{r+1}.  Returns the last window and the sum of
+    current[r] v_r over the rows r."""
+    a, b, c, d = window
+    dot = 0
+    for r in rows:
+        e = 4 * c - a - b - d
+        if r in current:
+            dot += current[r] * c
+            e -= load * current[r]
+        a, b, c, d = b, c, d, e
+    return a, b, c, d, dot
 
-    Kirchhoff row r, deg(r) v_r minus v at each neighbour = current[r], gives
-    v at the row's largest neighbour, which no earlier row reaches.  Rows
-    1..n-2 do so, except row k + 1, whose largest neighbour is k + 2.
+
+def _shoot(n: int, bend: int | None, current: dict[int, int], load: int, s: int, t: int):
+    """One coordinate of a unit chain's potentials: v_1 = 0, v_2 = s and, with
+    a bend at k, v_{k+2} = t, under the currents load * current.
+
+    Kirchhoff row r gives v at the row's largest neighbour, which no earlier
+    row reaches.  Rows 1..n-2 do so, except row k + 1, whose largest
+    neighbour is k + 2.  Only the last four potentials are held, so memory
+    stays at O(n) bits.  Returns the sum of current[x] v_x, which is v_i -
+    v_j, and the residuals of rows k + 1 (None without a bend) and n, the
+    rows left over: deg(r) v_r minus v at each neighbour minus the current.
     """
-    v[3] = -v[2] - current[1]  # row 1, with v[1] = 0
-    if n > 3:
-        v[4] = 3 * v[2] - v[3] - current[2]
-    for r in range(3, n - 1 if bend is None else bend):
-        v[r + 2] = 4 * v[r] - v[r - 2] - v[r - 1] - v[r + 1] - current[r]
-    if bend is None:
-        return
-    k = bend
-    v[k + 3] = 5 * v[k] - v[k - 2] - v[k - 1] - v[k + 1] - v[k + 2] - current[k]
-    if k + 2 < n - 1:
-        v[k + 4] = 4 * v[k + 2] - v[k] - v[k + 1] - v[k + 3] - current[k + 2]
-    if k + 3 < n - 1:  # the bend edge makes k, not k + 1, a neighbour of k + 3
-        v[k + 5] = 4 * v[k + 3] - v[k] - v[k + 2] - v[k + 4] - current[k + 3]
-    for r in range(k + 4, n - 1):
-        v[r + 2] = 4 * v[r] - v[r - 2] - v[r - 1] - v[r + 1] - current[r]
+    # v_{-1} = -s and v_0 = s give rows 1 and 2, of degree 2 and 3, the
+    # form of a degree-4 row.
+    a, b, c, d, dot = _rows((-s, s, 0, s), range(1, n - 1 if bend is None else bend), current, load)
+    row_k1 = None
+    if bend is not None:
+        k = bend  # the window holds v_{k-2}..v_{k+1}
+        at_k, at_k1 = current.get(k, 0), current.get(k + 1, 0)
+        row_k1 = 3 * d - b - c - t - load * at_k1
+        dot += at_k * c + at_k1 * d
+        # Row k, of degree 5, gives v_{k+3}.  Row k + 2 reads v_k and v_{k+1}
+        # alike; held as v_{k+1}, v_k they leave v_k in the first slot, for
+        # row k + 3, which the bend edge makes a neighbour of k, not of
+        # k + 1, and for row n when k = n - 3.
+        window = (d, c, t, 5 * c - a - b - d - t - load * at_k)
+        a, b, c, d, rest = _rows(window, range(k + 2, n - 1), current, load)
+        dot += rest
+    # The window holds v_n and, before it, vertex n's lower neighbours.
+    at_n = current.get(n, 0)
+    dot += current.get(n - 1, 0) * c + at_n * d
+    return dot, row_k1, 2 * d - b - c - load * at_n
 
 
 def _chain_solve(n: int, bend: int | None, i: int, j: int) -> Fraction:
@@ -171,43 +201,23 @@ def _chain_solve(n: int, bend: int | None, i: int, j: int) -> Fraction:
 
     Grounds v_1 = 0 and takes v_2 = s, and v_{k+2} = t with a bend, as
     parameters; every potential is then p + s q (+ t u) with integer
-    coordinates that `_shoot` fills in with additions and small multiples
+    coordinates that `_shoot` finds with additions and small multiples
     only.  Row n, and row k + 1 with a bend, are left over: with the current
     1 in at i and out at j they give a 1x1 or 2x2 integer system for the
     parameters, solved by Cramer's rule.  Row n - 1 adds nothing, as the
     rows of a Laplacian and the currents both sum to zero.
     """
-    current = [0] * (n + 1)
-    current[i], current[j] = 1, -1
-    zero = [0] * (n + 1)
-    p = [0] * (n + 1)
-    _shoot(p, n, bend, current)
-    q = [0] * (n + 1)
-    q[2] = 1
-    _shoot(q, n, bend, zero)
-    # Vertex n's lower neighbours: n - 2 and n - 1, or k and k + 2 when n = k + 3.
-    low = bend if bend == n - 3 else n - 2
-
-    def row_n(v, c):
-        return 2 * v[n] - v[low] - v[n - 1] - c[n]
-
+    current = {i: 1, j: -1}
+    # dp = p_i - p_j, a_p and b_p the residuals of rows k + 1 and n in p; so for q and u.
+    dp, a_p, b_p = _shoot(n, bend, current, 1, 0, 0)
+    dq, a_q, b_q = _shoot(n, bend, current, 0, 1, 0)
     if bend is None:
-        # row n: a + s b = 0, and r(i, j) = p_i - p_j + s (q_i - q_j)
-        a, b = row_n(p, current), row_n(q, zero)
-        return Fraction((p[i] - p[j]) * b - (q[i] - q[j]) * a, b)
-    k = bend
-    u = [0] * (n + 1)
-    u[k + 2] = 1
-    _shoot(u, n, k, zero)
-
-    def row_k1(v, c):
-        return 3 * v[k + 1] - v[k - 1] - v[k] - v[k + 2] - c[k + 1]
-
-    a_p, a_q, a_u = row_k1(p, current), row_k1(q, zero), row_k1(u, zero)
-    b_p, b_q, b_u = row_n(p, current), row_n(q, zero), row_n(u, zero)
+        # row n: b_p + s b_q = 0, and r(i, j) = dp + s dq
+        return Fraction(dp * b_q - dq * b_p, b_q)
+    du, a_u, b_u = _shoot(n, bend, current, 0, 0, 1)
     det = a_q * b_u - a_u * b_q
     s_det, t_det = a_u * b_p - a_p * b_u, a_p * b_q - a_q * b_p
-    return Fraction((p[i] - p[j]) * det + (q[i] - q[j]) * s_det + (u[i] - u[j]) * t_det, det)
+    return Fraction(dp * det + dq * s_det + du * t_det, det)
 
 
 def resistance_exact(g: WeightedGraph, i: int, j: int, *, ground: int | None = None) -> Fraction:
@@ -224,7 +234,7 @@ def resistance_exact(g: WeightedGraph, i: int, j: int, *, ground: int | None = N
     if shape is None:
         work, scale, weights = general_work(g, width)
     else:
-        work = exact_work(g.n, width, -(-2 * len(edges) // g.n))  # every weight of a chain is 1
+        work = chain_work(g.n)
     check_work(f"the exact oracle on {g.n} vertices (half-bandwidth {width})", work)
     if i == j:
         return Fraction(0)

@@ -4,16 +4,17 @@
     PYTHONPATH=src python tests/check_prices.py      # the table alone
 
 Each route states its work next to its code (`closed_form_work`,
-`engine_work`, `exact_work`, `float_work`, about 1 ns a unit); the CLI sums
+`engine_work`, `chain_work`, `float_work`, about 1 ns a unit); the CLI sums
 them (`_ROUTES` in twotree.cli) and refuses a request over MAX_SWEEP_COST.
 This check times warm records of all nine routes through `build_record`
 and `emit_records` (JSON), the median of three after one untimed record, at
 n = 6, 40, 200, 1000 and 2000, at 10^4 and 10^5 for the closed forms and
-`float`, at 3000 and 5000 for `exact`, and at 3000 (a centred and an edge
-bend) and 10^4 (centred) for the bent engine; a size is kept only while the
-route's work is within MAX_SWEEP_COST.  It also times library calls of
-`resistance_exact` on graphs that take its general path, against the
-`exact_work` price the call computes: straight chains with shuffled labels
+`float`, at 3000, 5000, 2 * 10^4 and 10^5 for `exact`, which shoots the
+chain, and at 3000 (a centred and an edge bend) and 10^4 (centred) for the
+bent engine; a size is kept only while the route's work is within
+MAX_SWEEP_COST.  It also times library calls of `resistance_exact` on
+graphs that take its general path, against the `general_work` price the
+call computes: straight chains with shuffled labels
 at n = 200 and 400, seeded bands of half-bandwidth 2 with weights a/b
 (a, b <= 9) at n = 500 and 1000, and the mirrored bent chain (v -> n + 1 - v)
 at n = 2000.  It prints the table and fails
@@ -47,7 +48,7 @@ LARGER = {
     "product": (10_000, 100_000),
     "formula": (10_000, 100_000),
     "float": (10_000, 100_000),
-    "exact": (3000, 5000),
+    "exact": (3000, 5000, 20_000, 100_000),
 }
 ENGINE_BENDS = ((3000, 1500), (3000, 3), (10_000, 5000))
 SHUFFLED_SIZES = (200, 400)

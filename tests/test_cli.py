@@ -324,9 +324,9 @@ def test_k_policy_applies_to_bent_sweeps_only(capsys):
     [
         (("bent", "--n", "8", "--k", "4"), ["alternating", "engine"]),
         (("straight", "--n", "8"), ["formula", "engine"]),
-        (("straight", "--n", str(cli.ORACLE_DEFAULT_CUTOFF), "--i", "2", "--j", "150"), ["formula", "exact"]),
-        (("straight", "--n", str(cli.ORACLE_DEFAULT_CUTOFF + 1), "--i", "2", "--j", "150"), ["formula"]),
-        (("straight", "--n", str(cli.ORACLE_DEFAULT_CUTOFF + 1)), ["formula", "engine"]),
+        (("straight", "--n", "200", "--i", "2", "--j", "150"), ["formula", "exact"]),
+        (("straight", "--n", "201", "--i", "2", "--j", "150"), ["formula", "exact"]),
+        (("straight", "--n", "201"), ["formula", "engine"]),
         (("straight", "--n", "12", "--i", "2", "--j", "9", "--methods", "all"), ["formula", "exact", "float"]),
     ],
 )
@@ -337,8 +337,8 @@ def test_default_methods(capsys, argv, methods):
 
 
 # Routes priced at most this run on every drawn chain: about a third of a
-# second each, so the engine to about 2400 vertices, `exact` to about 1400
-# and `float` past 10^4.
+# second each, so the engine to about 2400 vertices, `float` past 10^4 and
+# `exact` on every chain drawn, up to 20,000 vertices.
 ROUTE_PRICE_BOUND = 300_000_000
 
 
@@ -495,13 +495,13 @@ def test_closed_forms_answer_a_centred_bend_past_the_tables(capsys):
 
 
 def test_cost_budget_admits_an_interior_query_of_seconds(capsys, monkeypatch):
-    # About 0.2 s when run; the record is stubbed, since only admission counts.
+    # About 0.1 s when run; the record is stubbed, since only admission counts.
     built = []
     monkeypatch.setattr(cli, "build_record", lambda *args: built.append(args[2:7]) or {"agree": None})
     monkeypatch.setattr(cli, "emit_records", lambda records, fmt, out: None)
     code, _, err = run_cli(capsys, "resistance", "straight", "--n", "20000", "--i", "2", "--j", "19000")
     assert (code, err) == (0, "")
-    assert built == [(20000, None, 2, 19000, ["formula"])]
+    assert built == [(20000, None, 2, 19000, ["formula", "exact"])]
 
 
 def test_interior_pair_far_past_the_tables_answers(capsys):
@@ -510,7 +510,8 @@ def test_interior_pair_far_past_the_tables_answers(capsys):
     records = []
     for i, j in ((2, 190000), (10001, 199999)):
         code, out, err = run_cli(
-            capsys, "resistance", "straight", "--n", "200000", "--i", str(i), "--j", str(j), "--format", "json"
+            capsys, "resistance", "straight", "--n", "200000", "--i", str(i), "--j", str(j), "--methods", "formula",
+            "--format", "json",
         )
         assert (code, err) == (0, "")
         records.append(json.loads(out))
@@ -715,9 +716,9 @@ def test_oracles_share_one_chain(capsys, monkeypatch, family, make_chain, argv, 
 
 
 def test_oversized_exact_request_is_usage_error(capsys):
-    # The exact oracle's price grows as n^3 on a chain, though its shooting
-    # does not; the float one's band solve grows as n.
-    for method, n in (("exact", "20000"), ("float", "20000000")):
+    # The exact oracle's chain shoot grows as n^2; the float one's band solve
+    # grows as n.
+    for method, n in (("exact", "10000000"), ("float", "20000000")):
         code, out, err = run_cli(
             capsys, "resistance", "straight", "--n", n, "--i", "2", "--j", "9", "--methods", method
         )
@@ -749,21 +750,25 @@ def test_oversized_engine_request_is_usage_error(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "argv, closed_forms",
+    "argv, fit",
     [
         (("resistance", "bent", "--n", "100000", "--k", "50000"), "alternating,product"),
         (("resistance", "straight", "--n", "20000"), "formula"),
         (("sweep", "straight", "--n", "20000:20000"), "formula"),
+        (("resistance", "straight", "--n", "1000000", "--i", "2", "--j", "9"), "formula,float"),
     ],
 )
-def test_refused_default_query_names_methods(capsys, argv, closed_forms):
+def test_refused_default_query_names_methods(capsys, monkeypatch, argv, fit):
+    # The default routes past their price: the engine at (1, n), `exact` at
+    # another pair.  The hint names the applicable routes that fit, in order,
+    # so the closed forms first.
+    monkeypatch.setattr(cli, "build_record", lambda *args: pytest.fail("a refused query computed a record"))
     start = time.perf_counter()
     code, out, err = run_cli(capsys, *argv)
     assert time.perf_counter() - start < 1
-    assert code == 2
-    assert out == ""
-    assert "engine " in err and "MAX_SWEEP_COST" in err
-    assert f"--methods {closed_forms}" in err
+    assert (code, out) == (2, "")
+    assert ("exact " if "--i" in argv else "engine ") in err and "MAX_SWEEP_COST" in err
+    assert f"; the default methods do not fit, so pass --methods {fit}" in err
 
 
 def test_product_answers_past_the_int_digit_limit(capsys):
@@ -784,10 +789,10 @@ def test_oversized_requests_are_refused_before_any_route(capsys):
     for argv in (
         ("resistance", "bent", "--n", "100000", "--k", "50000"),
         ("resistance", "straight", "--n", "100000"),
-        ("resistance", "bent", "--n", "20000", "--k", "10000", "--methods", "alternating,exact"),
+        ("resistance", "bent", "--n", "500000", "--k", "250000", "--methods", "alternating,exact"),
         ("sweep", "bent", "--n", "100000:100000", "--k-policy", "center"),
         ("sweep", "bent", "--n", "19990:20001", "--k-policy", "center"),
-        ("sweep", "straight", "--n", "19990:20001", "--methods", "formula,exact"),
+        ("sweep", "straight", "--n", "300000:300002", "--methods", "formula,exact"),
     ):
         start = time.perf_counter()
         code, out, err = run_cli(capsys, *argv)
