@@ -332,15 +332,6 @@ def _cmd_verify(args, out) -> int:
     return 0 if failures == 0 else 1
 
 
-def _detect_family(g: WeightedGraph) -> tuple[str, Optional[int]]:
-    if any(w != 1 for _, _, w in g.edges):
-        raise UsageError("only unit-weight chains are reducible; found non-unit weights")
-    shape = chain_shape(g)
-    if shape is None:
-        raise UsageError("unsupported topology: not a straight or singly-bent chain")
-    return shape
-
-
 def _cmd_reduce(args, out) -> int:
     if args.what == "file":
         try:
@@ -352,10 +343,10 @@ def _cmd_reduce(args, out) -> int:
     else:
         n, k = args.n, getattr(args, "k", None)
     # Priced before anything of size n is built; a file as a straight chain,
-    # the engine's worst case, before the connectivity check walks it.  A
-    # side's j-th log records carry integers of about 1.4 j bits, so the
-    # log's text grows as the squares of the side lengths: 55 MB, written in
-    # 1.3 s, for a straight chain of 4000 vertices.
+    # the engine's worst case, before `chain_shape` reads it.  A side's j-th
+    # log records carry integers of about 1.4 j bits, so the log's text
+    # grows as the squares of the side lengths: 55 MB, written in 1.3 s,
+    # for a straight chain of 4000 vertices.
     bend = n if k is None else k
     work = {"engine": engine_work(n, bend)}
     if args.emit_log:
@@ -363,9 +354,17 @@ def _cmd_reduce(args, out) -> int:
     parts = ", ".join(f"{what} {units(w)}" for what, w in work.items())
     check_work(f"reduce on {n} vertices ({parts})", sum(work.values()))
     if args.what == "file":
-        if not graph.is_connected():
-            raise UsageError("input graph is disconnected")
-        family, k = _detect_family(graph)
+        # A chain `chain_shape` names is connected and unit-weight by
+        # construction; only a graph it refuses is walked, then scanned, to
+        # say why.
+        shape = chain_shape(graph)
+        if shape is None:
+            if not graph.is_connected():
+                raise UsageError("input graph is disconnected")
+            if any(w != 1 for _, _, w in graph.edges):
+                raise UsageError("only unit-weight chains are reducible; found non-unit weights")
+            raise UsageError("unsupported topology: not a straight or singly-bent chain")
+        family, k = shape
     else:
         family = args.what
     if family == "straight":

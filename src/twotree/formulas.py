@@ -97,7 +97,9 @@ def tail_sum(j: int) -> Fraction:
     """Partial sum of F_i F_{i+1} / (L_i L_{i+1}) for i = 1..j, exactly.
 
     Steps F and L by their recurrences and adds the terms one by one in
-    lowest terms, storing nothing: the independent side of the closed form.
+    lowest terms, storing nothing: the independent side of the closed form
+    N_j / (5 L_{j+1}) that `bent_resistance_product` inlines and identity
+    I-B.51/52 states.
     """
     if j < 0:
         raise ValueError("tail sums are defined for j >= 0")
@@ -109,14 +111,6 @@ def tail_sum(j: int) -> Fraction:
         num, den = num // g, den // g
         f, f_next, l, l_next = f_next, f + f_next, l_next, l + l_next
     return Fraction(num, den)
-
-
-def tail_sum_closed_form(j: int) -> Fraction:
-    """The same partial sum as ((j+1) L_{j+1} - F_{j+1}) / (5 L_{j+1})."""
-    if j < 0:
-        raise ValueError("tail sums are defined for j >= 0")
-    check_index(j + 1)
-    return Fraction((j + 1) * lucas(j + 1) - fib(j + 1), 5 * lucas(j + 1))
 
 
 def bent_resistance_product(params: BentParams) -> Fraction:

@@ -21,16 +21,18 @@ costs O(n) memory and big-integer operations.  The float path builds its
 own upper band in plain Python floats, also from the edge list, and runs
 Gaussian elimination without pivoting inside it: a chain's half-bandwidth
 is at most 3, so it costs O(n) float operations.  It exists to cross-check
-the exact path, never to feed it, and shares no code with it past the query
-checks, which read the band off the edge list.  Each path refuses a graph
-priced over MAX_SWEEP_COST before it allocates a row: `chain_work` prices
-the chain path, `general_work` the general one and `float_work` the float
-path.
+the exact path, never to feed it, and shares no code with it past the range
+checks of `_check_query` and `_half_bandwidth`, which reads the band off the
+edge list.  Each path refuses a graph priced over MAX_SWEEP_COST before it
+allocates a row: `chain_work` prices the chain path by n alone,
+`general_work` the general one and `float_work` the float path, both by the
+half-bandwidth too.
 
-A recognised chain is connected by construction, so the exact path does
-not check it for connectivity or read its weights, all 1, again.  The
-general exact path and the float path check every graph they solve with
-`WeightedGraph.is_connected`, which accepts a chain without a walk.
+A recognised chain is connected and unit-weight by construction, so the
+exact path neither checks its connectivity nor reads its weights or its
+half-bandwidth again.  The general exact path and the float path check
+every graph they solve with `WeightedGraph.is_connected`, which accepts a
+chain without a walk.
 """
 
 from __future__ import annotations
@@ -90,13 +92,18 @@ def float_work(n: int, width: int) -> int:
     return 200_000 + 5_000 * n + 1_000 * n * (width + 1) ** 2
 
 
-def _check_query(g: WeightedGraph, i: int, j: int, ground: int) -> int:
-    """Refuse a vertex out of range; return the half-bandwidth of g grounded at
-    `ground`, the largest b - a over the edges off it."""
+def _check_query(g: WeightedGraph, i: int, j: int, ground: int) -> None:
+    """Refuse a vertex of the pair, or the ground, out of range."""
     if not (1 <= i <= g.n and 1 <= j <= g.n):
         raise GraphError(f"vertex pair ({i},{j}) out of range 1..{g.n}")
     if not 1 <= ground <= g.n:
         raise GraphError(f"ground vertex {ground} out of range 1..{g.n}")
+
+
+def _half_bandwidth(g: WeightedGraph, ground: int) -> int:
+    """The half-bandwidth of g grounded at `ground`: the largest b - a over
+    the edges off it.  The general exact path and the float path are
+    priced by it; the chain path never reads it."""
     return max((b - a for a, b, _ in g.edges if a != ground != b), default=0)
 
 
@@ -228,32 +235,30 @@ def resistance_exact(g: WeightedGraph, i: int, j: int, *, ground: int | None = N
     the choice).  Returns 0 for i == j without solving.
     """
     w = j if ground is None else ground
-    width = _check_query(g, i, j, w)
-    edges = g.edges
+    _check_query(g, i, j, w)
     shape = chain_shape(g)
-    if shape is None:
-        work, scale, weights = general_work(g, width)
-    else:
-        work = chain_work(g.n)
+    if shape is not None:
+        check_work(f"the exact oracle on a chain of {g.n} vertices", chain_work(g.n))
+        return Fraction(0) if i == j else _chain_solve(g.n, shape[1], i, j)
+    width = _half_bandwidth(g, w)
+    work, scale, weights = general_work(g, width)
     check_work(f"the exact oracle on {g.n} vertices (half-bandwidth {width})", work)
     if i == j:
         return Fraction(0)
-    if shape is not None:
-        return _chain_solve(g.n, shape[1], i, j)
     if not g.is_connected():
         raise GraphError("resistance is undefined on a disconnected graph")
 
     # Grounding w: its row and column become the identity's, so vertex v
     # keeps row v - 1.  Off the diagonal, the nonzeros are exactly the edges.
     lo = list(range(g.n))
-    for a, b, _ in edges:
+    for a, b, _ in g.edges:
         if w not in (a, b):
             lo[b - 1] = min(lo[b - 1], a - 1)
     reach = list(range(g.n))
     for r, first in enumerate(lo):
         reach[first] = max(reach[first], r)
     upper = [[0] * (hi - r + 1) for r, hi in enumerate(accumulate(reach, max))]
-    for (a, b, _), c in zip(edges, weights):
+    for (a, b, _), c in zip(g.edges, weights):
         upper[a - 1][0] += c
         upper[b - 1][0] += c
         if w not in (a, b):
@@ -276,7 +281,8 @@ def resistance_float(g: WeightedGraph, i: int, j: int) -> float:
     inside the band.
     """
     n = g.n
-    width = _check_query(g, i, j, j)
+    _check_query(g, i, j, j)
+    width = _half_bandwidth(g, j)
     check_work(f"the float oracle on {n} vertices (half-bandwidth {width})", float_work(n, width))
     if i == j:
         return 0.0

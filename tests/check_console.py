@@ -8,7 +8,7 @@ Reads the `run:` block of the "Console script entry point" step of
 `twotree` defined as `python -m twotree.cli` on this checkout's src/ and
 RUNNER_TEMP set to a temporary directory.  It fails on a non-zero exit.
 The file name keeps it out of the default test collection; it takes about
-half a minute.
+16 s (Python 3.11, 2-vCPU VM).
 """
 
 import os

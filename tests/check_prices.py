@@ -151,9 +151,9 @@ def general_cases():
     yield "mirrored", mirrored_bend(MIRRORED_BEND), 1, MIRRORED_BEND
 
 
-def general_price(g: WeightedGraph, i: int, j: int) -> float:
+def general_price(g: WeightedGraph, j: int) -> float:
     """The price `resistance_exact` checks on the general path, in seconds."""
-    return resistance.general_work(g, resistance._check_query(g, i, j, j))[0] * 1e-9
+    return resistance.general_work(g, resistance._half_bandwidth(g, j))[0] * 1e-9
 
 
 def measure() -> list[tuple]:
@@ -165,7 +165,7 @@ def measure() -> list[tuple]:
         rows.append((family, tag, n, k, i, j, *seconds, cli._ROUTES[family, tag].cost(n, k) * 1e-9))
     for family, g, i, j in general_cases():
         seconds = median_seconds(lambda: resistance.resistance_exact(g, i, j))
-        rows.append((family, "exact", g.n, None, i, j, *seconds, general_price(g, i, j)))
+        rows.append((family, "exact", g.n, None, i, j, *seconds, general_price(g, j)))
     return rows
 
 

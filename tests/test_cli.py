@@ -260,6 +260,23 @@ def test_reduce_file_round_trip(capsys, tmp_path):
         assert record["exact"] == ratio_string(bent_resistance_alternating(BentParams(n, k)))
 
 
+def test_reduce_file_settles_a_chain_without_a_connectivity_walk(capsys, monkeypatch, tmp_path):
+    # chain_shape names a chain, connected by construction, so it is never
+    # walked: neither the builder's text nor a copy in reverse order with
+    # its ends swapped and integer weights.
+    monkeypatch.setattr(cli.WeightedGraph, "is_connected", lambda self: pytest.fail("connectivity was checked"))
+    chain = bent_2tree(12, 5)
+    copy = "".join(f"{b} {a} 1\n" for a, b, _ in reversed(chain.edges))
+    for name, text in [("built.txt", chain.to_text()), ("copy.txt", f"{chain.n} {chain.edge_count}\n{copy}")]:
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        code, out, _ = run_cli(capsys, "reduce", "file", str(path), "--format", "json")
+        assert code == 0
+        record = json.loads(out)
+        assert (record["family"], record["n"], record["k"]) == ("bent", 12, 5)
+        assert record["exact"] == ratio_string(bent_resistance_alternating(BentParams(12, 5)))
+
+
 def test_sweep_fixed_policy_skips_out_of_range(capsys):
     code, out, _ = run_cli(
         capsys, "sweep", "bent", "--n", "6:9", "--k-policy", "fixed", "--k", "4", "--format", "json"
@@ -550,11 +567,13 @@ def test_reduce_non_unit_weights_rejected(capsys, tmp_path):
 
 
 def test_reduce_disconnected_file_rejected(capsys, tmp_path):
+    # A disconnected graph is named so before its weights are.
     path = tmp_path / "broken.txt"
-    path.write_text("4 2\n1 2 1/1\n3 4 1/1\n", encoding="utf-8")
-    code, _, err = run_cli(capsys, "reduce", "file", str(path))
-    assert code == 2
-    assert "disconnected" in err
+    for text in ("4 2\n1 2 1/1\n3 4 1/1\n", "4 2\n1 2 1/2\n3 4 1/1\n"):
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run_cli(capsys, "reduce", "file", str(path))
+        assert (code, out) == (2, "")
+        assert "disconnected" in err and "unit-weight" not in err
 
 
 def test_reduce_unsupported_topology_rejected(capsys, tmp_path):

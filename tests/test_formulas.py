@@ -23,11 +23,8 @@ from twotree import (
 )
 import twotree.formulas
 from twotree import sequences
-from twotree.formulas import (
-    _alternating_summand,
-    tail_sum,
-    tail_sum_closed_form,
-)
+from twotree.formulas import _alternating_summand, tail_sum
+from twotree.identities import check_identity
 from twotree.sequences import ENV_CACHE_LIMIT
 
 
@@ -74,7 +71,6 @@ CLOSED_FORMS = {
     "product": (lambda: bent_resistance_product(BentParams(3000, 1200)), 5998),
     "straight pair": (lambda: straight_pair_resistance(2998, 2, 2000), 5998),
     "straight end pair": (lambda: straight_pair_resistance(2998, 1, 2999), 2999),
-    "tail sum": (lambda: tail_sum_closed_form(2500), 2501),
 }
 
 
@@ -147,12 +143,11 @@ def test_tail_sum_small_values():
     assert tail_sum(0) == 0
     assert tail_sum(1) == Fraction(1, 3)
     assert tail_sum(2) == Fraction(1, 2)
-    assert tail_sum_closed_form(2) == Fraction(1, 2)
 
 
-def test_tail_sum_closed_form_agreement():
-    for j in range(0, 201):
-        assert tail_sum(j) == tail_sum_closed_form(j)
+def test_tail_sum_agrees_with_its_closed_form():
+    # The catalogue's closed form, tail_sum(m - 1) = N_{m-1} / (5 L_m), for j = m - 1 <= 200.
+    assert check_identity("I-B.51/52", ranges={"m": (1, 201)}).status == "pass"
 
 
 def test_bent_product_spot_values():

@@ -26,7 +26,8 @@ from twotree import (
     straight_2tree,
     straight_pair_resistance,
 )
-from twotree.graphs import chain_shape
+from twotree.graphs import chain_shape, units
+from twotree.resistance import _half_bandwidth, chain_work
 
 
 def _plain_gauss(g, j, sources):
@@ -397,17 +398,20 @@ def test_oracles_on_a_chain_of_weight_2():
 
 def test_exact_oracle_neither_scans_nor_walks_a_recognised_chain(monkeypatch):
     # chain_shape runs once, before the price.  A recognised chain, built or
-    # read from text, is then shot with no weight scan and no connectivity
-    # walk; any other graph is still scanned and walked.
+    # read from text, is then shot with no weight scan, no half-bandwidth
+    # scan and no connectivity walk; any other graph is still scanned and
+    # walked, and the float oracle reads the half-bandwidth it is priced by.
     calls = []
     walk = WeightedGraph.is_connected
     monkeypatch.setattr("twotree.resistance.chain_shape", lambda g: calls.append("shape") or chain_shape(g))
     monkeypatch.setattr("twotree.resistance.check_work", lambda what, work: calls.append("price"))
     monkeypatch.setattr(WeightedGraph, "is_connected", lambda self: calls.append("walk") or walk(self))
+    monkeypatch.setattr("twotree.resistance._half_bandwidth", lambda g, w: calls.append("width") or _half_bandwidth(g, w))
     chain = bent_2tree(12, 5)
     bent = bent_resistance_product(BentParams(12, 5))
     with monkeypatch.context() as poisoned:
         poisoned.setattr("twotree.resistance.lcm", lambda *args: pytest.fail("a chain's weights were scanned"))
+        poisoned.setattr("twotree.resistance._half_bandwidth", lambda *args: pytest.fail("a chain's band was scanned"))
         for g, i, j, value in [
             (chain, 1, 12, bent),
             (WeightedGraph.from_text(chain.to_text()), 1, 12, bent),
@@ -420,9 +424,24 @@ def test_exact_oracle_neither_scans_nor_walks_a_recognised_chain(monkeypatch):
     calls.clear()
     with pytest.raises(GraphError, match="disconnected"):
         resistance_exact(WeightedGraph(4, [(1, 2, 1), (3, 4, 1)]), 1, 4)
-    assert calls == ["shape", "price", "walk"]
+    assert calls == ["shape", "width", "price", "walk"]
     # The float oracle walks every graph it solves, each time.
     calls.clear()
     for _ in range(2):
         assert _float_close(resistance_float(chain, 1, 12), bent)
-    assert calls == ["price", "walk"] * 2
+    assert calls == ["width", "price", "walk"] * 2
+
+
+def test_exact_oracle_refuses_a_chain_by_its_own_price(monkeypatch):
+    # The chain path is priced by n alone, so its refusal names the chain and
+    # no half-bandwidth; the general path's names the band it is priced by.
+    monkeypatch.setattr("twotree.graphs.MAX_SWEEP_COST", chain_work(40) - 1)
+    for g in (straight_2tree(40), WeightedGraph.from_text(bent_2tree(40, 20).to_text())):
+        with pytest.raises(GraphError) as refused:
+            resistance_exact(g, 2, 9)
+        message = str(refused.value)
+        assert message.startswith(f"the exact oracle on a chain of 40 vertices is about {units(chain_work(40))} units")
+        assert "half-bandwidth" not in message
+    shuffled, label = _shuffled_straight_chain(40)
+    with pytest.raises(GraphError, match=r"^the exact oracle on 40 vertices \(half-bandwidth \d+\) is about"):
+        resistance_exact(shuffled, label[0], label[1])
