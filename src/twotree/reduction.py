@@ -30,8 +30,8 @@ def engine_work(n: int, k: int) -> int:
     About 5 us a vertex up to a few hundred vertices; past a few thousand a
     side's big-integer work grows as the cube of its length.  Fitted at 15 us
     a vertex, above centre, edge and straight runs at n = 6 to 3000 and
-    10,000 (a centred bend at 20,000: 4.7-5.2 s, priced 42 s; a straight
-    chain at 10,000: 2.3-2.8 s, priced 17 s), log kept or not.
+    10,000 (a centred bend at 20,000: 3.3-4.6 s, priced 42 s; a straight
+    chain at 10,000: 1.7-2.2 s, priced 17 s), log kept or not.
     """
     return 200_000 + 40_000 * n + 40 * n * n + (k**3 + (n - k) ** 3) // 80
 
@@ -75,7 +75,7 @@ def _chain_branches(a: tuple[int, int], b: tuple[int, int]) -> tuple[tuple[int, 
     (a + b + 1)*D; the branches are x = b/(a + b + 1) = R/S,
     y = P/S and t = a*b/(a + b + 1) = x*a.  On a unit chain q divides u, so
     D = u, P = p*(u/q) and R = r.  One gcd g = gcd(R, S), taken as
-    gcd(R, p + q) (last paragraph), reduces x; y = P/S and
+    gcd(p + q, R mod (p + q)) (last paragraph), reduces x; y = P/S and
     t = (R/g * p)/(S/g * q) are already in lowest terms and are built
     without a gcd.  When q does not divide u, the triangle is not one of a
     unit chain and ReductionError is raised.
@@ -107,14 +107,19 @@ def _chain_branches(a: tuple[int, int], b: tuple[int, int]) -> tuple[tuple[int, 
     Both sides of a bent chain walk the same way from their terminals, so
     the same holds there.
 
-    The one gcd is taken on operands of half the size.  With m = D/q,
-    b = R/D is in lowest terms and m divides D, so gcd(R, m) = 1; as
-    S = m*(p + q) + R, g = gcd(R, S) = gcd(R, p + q) and
-    S/g = m*((p + q)/g) + R/g, on any input, not only a chain's.  On a unit
-    chain g_j = gcd(F_{j+1}^2, F_{j+1} L_{j+1}) is F_{j+1} or 2 F_{j+1},
-    so q = S_j/g_j and m = g_j have about half the bits of S_{j+1}, and
-    (p + q)/g is a few bits long.  The Fibonacci and Lucas numbers appear
-    only in these proofs.
+    The one gcd is taken on operands of half the size, and R is divided
+    once.  With m = D/q, b = R/D is in lowest terms and m divides D, so
+    gcd(R, m) = 1; as S = m*(p + q) + R, g = gcd(R, S) = gcd(R, p + q) and
+    S/g = m*((p + q)/g) + R/g, on any input, not only a chain's.  With
+    R = quot*(p + q) + rem, g = gcd(p + q, rem) and
+    R/g = quot*((p + q)/g) + rem/g, each quotient exact.  On a unit chain
+    g_j = gcd(F_{j+1}^2, F_{j+1} L_{j+1}) is F_{j+1} or 2 F_{j+1}, so
+    q = S_j/g_j and m = g_j have about half the bits of S_{j+1}, and
+    p + q = F_{j+1} (F_{j+1} + L_{j+1})/g_j = 2 F_{j+1} F_{j+2}/g_j is
+    F_{j+2} or 2 F_{j+2}, against R_{j+1} = F_{j+2}^2.  Either p + q
+    divides R, or p + q = 2g and rem = g = F_{j+2} (F_{j+2} odd); so
+    (p + q)/g is 1 or 2.  The Fibonacci and Lucas numbers appear only in
+    these proofs.
     """
     p, q = a
     big_r, d = b
@@ -125,9 +130,11 @@ def _chain_branches(a: tuple[int, int], b: tuple[int, int]) -> tuple[tuple[int, 
         )
     big_p = p * m
     p_q = p + q
-    g = gcd(big_r, p_q)
-    r_g = big_r // g
-    s_g = m * (p_q // g) + r_g
+    quot, rem = divmod(big_r, p_q)
+    g = gcd(p_q, rem)
+    p_q_g = p_q // g
+    r_g = quot * p_q_g + rem // g
+    s_g = m * p_q_g + r_g
     return (r_g, s_g), (big_p, big_p + big_r + d), (r_g * p, s_g * q)
 
 
@@ -217,15 +224,15 @@ class ReductionState:
         self.log: list[StepRecord] = []
         self._keep_log = keep_log
         # A branch recurs in later records, so equal values share one Fraction.
-        self._fractions = cache(_fraction)
+        self._fractions = cache(_fraction) if keep_log else None
         self._steps = 0
-        self._adj = {v: {} for v in range(1, graph.n + 1)}
+        self._adj = adj = {v: {} for v in range(1, graph.n + 1)}
         for i, j, w in graph.edges:
             # The chain builders share one unit weight, told apart without a
             # Fraction comparison; it is its own resistance.
             r = _UNIT if w is _UNIT_WEIGHT else (w.denominator, w.numerator)
-            self._adj[i][j] = r
-            self._adj[j][i] = r
+            adj[i][j] = r
+            adj[j][i] = r
         self._next_label = graph.n
         self._observer = observer
 

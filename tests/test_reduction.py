@@ -304,23 +304,55 @@ def test_chain_branches_need_only_the_divisor_case(pair):
 
 
 def test_chain_gcds_take_a_half_size_operand(monkeypatch):
-    # The one gcd of a transform is gcd(R, p + q): on a unit chain p + q has
-    # about half the bits of R, where gcd(R, S) would take two of full size.
-    operands = []
+    # The one gcd of a transform runs on p + q and R mod (p + q): on a unit
+    # chain both have about half the bits of R, where gcd(R, S) would take
+    # two of full size.  R is read off the transform's own input.
+    operands, big_rs = [], []
 
     def watched_gcd(*args):
         operands.append(args)
         return gcd(*args)
 
+    def watched_chain(a, b):
+        big_rs.append(b[0])
+        return _chain_branches(a, b)
+
     monkeypatch.setattr(reduction, "gcd", watched_gcd)
+    monkeypatch.setattr(reduction, "_chain_branches", watched_chain)
     for run, transforms in ((lambda: reduce_bent(200, 77), 197), (lambda: reduce_straight_state(200), 198)):
         run()
-        assert len(operands) == transforms
-        for args in operands:
-            small, big = sorted(v.bit_length() for v in args)
-            assert small <= big / 2 + 2, args
-        assert max(v.bit_length() for args in operands for v in args) > 150
+        assert len(operands) == len(big_rs) == transforms
+        for args, big_r in zip(operands, big_rs):
+            assert all(v.bit_length() <= big_r.bit_length() / 2 + 2 for v in args), (args, big_r)
+        assert max(big_r.bit_length() for big_r in big_rs) > 150
         operands.clear()
+        big_rs.clear()
+
+
+def test_chain_branches_take_both_cases_of_the_division(monkeypatch):
+    # R = quot*(p + q) + rem: on a unit chain either p + q divides R, or
+    # p + q = 2g and rem = g.  Each run takes both cases, and every triple,
+    # in lowest terms, is the textbook transform's.
+    seen = []
+
+    def watched_chain(a, b):
+        branches = _chain_branches(a, b)
+        seen.append((a, b, branches))
+        return branches
+
+    monkeypatch.setattr(reduction, "_chain_branches", watched_chain)
+    for run in (lambda: reduce_straight_state(200), lambda: reduce_bent(200, 77), lambda: reduce_bent(40, 3)):
+        run()
+        cases = set()
+        for a, b, branches in seen:
+            p_q, big_r = sum(a), b[0]
+            rem, g = big_r % p_q, gcd(big_r, p_q)
+            assert rem == 0 or (p_q == 2 * g and rem == g), (a, b)
+            cases.add(rem == 0)
+            expected = delta_y(Fraction(*a), Fraction(*b), 1)
+            assert branches == tuple((v.numerator, v.denominator) for v in expected), (a, b)
+        assert cases == {True, False}
+        seen.clear()
 
 
 def test_chain_sums_run_a_bounded_number_of_gcds(monkeypatch):
