@@ -342,6 +342,8 @@ def _cmd_reduce(args, out) -> int:
         n, k = graph.n, None
     else:
         n, k = args.n, getattr(args, "k", None)
+        # Checked before it is priced: a bend off the chain is a usage error.
+        _validate_query(args.what, n, k, None, None)
     # Priced before anything of size n is built; a file as a straight chain,
     # the engine's worst case, before `chain_shape` reads it.  A side's j-th
     # log records carry integers of about 1.4 j bits, so the log's text

@@ -188,11 +188,6 @@ Observer = Callable[["ReductionState", StepRecord], None]
 _UNIT = (1, 1)
 
 
-def _check_log_request(observer: Optional[Observer], keep_log: bool) -> None:
-    if observer is not None and not keep_log:
-        raise ValueError("an observer is handed each log record, so it needs keep_log=True")
-
-
 def _fraction(pair):
     return _coprime_fraction(*pair)
 
@@ -206,8 +201,10 @@ class ReductionState:
     terms.  The step log is the only record of the rewrites: each record is
     built as its rewrite happens, with one `Fraction` per value across the
     log, and the tail lists are views of its star transforms.  With
-    keep_log=False no rewrite is recorded, so the log and both tail lists
-    stay empty; an observer is handed each record, so it needs keep_log=True.
+    keep_log=False the state keeps no record, so the log and both tail
+    lists stay empty.  An observer is handed each record as its rewrite
+    happens, with or without the log; with the log it is the very record
+    the log holds.  With neither, no record is built.
     """
 
     def __init__(
@@ -218,13 +215,14 @@ class ReductionState:
         observer: Optional[Observer] = None,
         keep_log: bool = True,
     ):
-        _check_log_request(observer, keep_log)
         self.source = source
         self.sink = sink
         self.log: list[StepRecord] = []
         self._keep_log = keep_log
-        # A branch recurs in later records, so equal values share one Fraction.
-        self._fractions = cache(_fraction) if keep_log else None
+        self._records = keep_log or observer is not None
+        # A branch recurs in later records, so equal values across a kept log
+        # share one Fraction.
+        self._fractions = cache(_fraction) if keep_log else _fraction
         self._steps = 0
         self._adj = adj = {v: {} for v in range(1, graph.n + 1)}
         for i, j, w in graph.edges:
@@ -283,10 +281,11 @@ class ReductionState:
 
     def _emit(self, side: str, kind: str, nodes, inputs, outputs) -> None:
         self._steps = index = self._steps + 1
-        if self._keep_log:
+        if self._records:
             fraction = self._fractions
             record = StepRecord(index, side, kind, nodes, tuple(map(fraction, inputs)), tuple(map(fraction, outputs)))
-            self.log.append(record)
+            if self._keep_log:
+                self.log.append(record)
             if self._observer is not None:
                 self._observer(self, record)
 
@@ -346,7 +345,7 @@ class ReductionState:
             combined = parallel_combine(_fraction(existing), _fraction(merged))
             stored = (combined.numerator, combined.denominator)
         at_u[w] = at_w[u] = stored
-        if self._keep_log:
+        if self._records:
             self._emit(side, "series", (u, v, w), (r_u, r_w), (merged,))
             if existing is not None:
                 self._emit(side, "parallel", (u, w), (existing, merged), (stored,))
@@ -477,10 +476,9 @@ def reduce_straight_state(
 ) -> tuple[Fraction, ReductionState]:
     """Full end-to-end reduction of the straight family, with audit state.
 
-    With keep_log=False the state records no rewrite (see ReductionState);
-    every check still runs.
+    With keep_log=False the state keeps no record (see ReductionState); an
+    observer still gets each one, and every check still runs.
     """
-    _check_log_request(observer, keep_log)
     check_work(f"the reduction engine on a straight chain of {n} vertices", engine_work(n, n))
     graph = straight_2tree(n)
     state = ReductionState(graph, source=1, sink=n, observer=observer, keep_log=keep_log)
@@ -497,10 +495,9 @@ def reduce_bent(
 
     Reduces k-2 triangles from the left, then n-k-1 from the right, then
     combines the remaining parallel pair and the two tail chains.
-    With keep_log=False the state records no rewrite (see ReductionState);
-    every check still runs.
+    With keep_log=False the state keeps no record (see ReductionState); an
+    observer still gets each one, and every check still runs.
     """
-    _check_log_request(observer, keep_log)
     check_work(f"the reduction engine on a chain of {n} vertices bent at {k}", engine_work(n, k))
     graph = bent_2tree(n, k)
     state = ReductionState(graph, source=1, sink=n, observer=observer, keep_log=keep_log)

@@ -27,7 +27,7 @@ from twotree import (
     reduce_straight_state,
 )
 import twotree.identities
-from twotree import cli
+from twotree import cli, reduction
 from twotree.cli import main
 from twotree.identities import Identity
 
@@ -607,6 +607,26 @@ def test_reduce_prices_its_step_log(capsys, monkeypatch):
     assert "step log" in err and "MAX_SWEEP_COST" in err
     code, out, _ = run_cli(capsys, "reduce", "straight", "16000")
     assert code == 0 and out
+
+
+def test_reduce_checks_its_chain_before_it_prices_it(capsys, monkeypatch):
+    # A bend off the chain is named as `resistance` names it, not priced.
+    def never(*args):
+        pytest.fail("a chain that does not exist was priced or built")
+
+    monkeypatch.setattr(cli, "engine_work", never)
+    for module in (cli, reduction):
+        monkeypatch.setattr(module, "bent_2tree", never)
+        monkeypatch.setattr(module, "straight_2tree", never)
+    for argv, message in (
+        (("bent", "100", "1000000"), "bend vertex must satisfy 3 <= k <= n-3, got k=1000000 for n=100"),
+        (("bent", "100", "-1000000"), "bend vertex must satisfy 3 <= k <= n-3, got k=-1000000 for n=100"),
+        (("bent", "5", "3"), "a bent chain needs n >= 6"),
+        (("straight", "2"), "straight chains need n >= 3"),
+    ):
+        code, out, err = run_cli(capsys, "reduce", *argv)
+        assert (code, out) == (2, ""), argv
+        assert err == f"error: {message}\n", argv
 
 
 def test_digits_flag(capsys):

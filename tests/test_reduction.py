@@ -226,19 +226,16 @@ def test_a_run_without_its_log_holds_little_memory():
     assert held[False] < 1_000_000
 
 
-def test_an_observer_needs_the_log(monkeypatch):
-    def never(*args):
-        pytest.fail("work started for an observer without a log")
-
-    monkeypatch.setattr(reduction, "bent_2tree", never)
-    monkeypatch.setattr(reduction, "straight_2tree", never)
-    for call in (
-        lambda: reduce_bent(8, 4, observer=print, keep_log=False),
-        lambda: reduce_straight_state(8, observer=print, keep_log=False),
-        lambda: ReductionState(WeightedGraph(3, [(1, 2, 1), (2, 3, 1)]), 1, 3, observer=print, keep_log=False),
-    ):
-        with pytest.raises(ValueError, match="keep_log=True"):
-            call()
+@pytest.mark.parametrize("run, args", [(reduce_bent, (40, 17)), (reduce_bent, (8, 3)), (reduce_straight_state, (40,))])
+def test_an_observer_sees_a_run_without_its_log(run, args):
+    # The records come to the observer as they are made; the state keeps none.
+    received = []
+    value, state = run(*args, observer=lambda state, record: received.append(record), keep_log=False)
+    logged_value, logged = run(*args)
+    assert value == logged_value
+    assert received == logged.log
+    assert state.log == [] and state.left_tails == [] and state.right_tails == []
+    ReductionState(WeightedGraph(3, [(1, 2, 1), (2, 3, 1)]), 1, 3, observer=print, keep_log=False)
 
 
 def test_chain_transforms_run_one_gcd_each(monkeypatch):
@@ -393,6 +390,10 @@ def test_chain_sums_run_a_bounded_number_of_gcds(monkeypatch):
         per_call.clear()
 
 
+# Who reads a run's records: the kept log, nobody, or an observer alone.
+_RECORD_MODES = ({"keep_log": True}, {"keep_log": False}, {"keep_log": False, "observer": lambda state, record: None})
+
+
 def test_a_wrong_tail_is_refused(monkeypatch, capsys):
     # Both sides of the tail bookkeeping read the same t, so only the check
     # of each side's last transform against `delta_y` sees a wrong one.
@@ -404,28 +405,29 @@ def test_a_wrong_tail_is_refused(monkeypatch, capsys):
 
     monkeypatch.setattr(reduction, "_chain_branches", inverted)
     for run, args in ((reduce_bent, (40, 17)), (reduce_straight_state, (40,))):
-        # A run without its log is refused the same way, at the same step index.
+        # A run without its log, watched or not, is refused the same way, at
+        # the same step index.
         messages = []
-        for keep_log in (True, False):
+        for mode in _RECORD_MODES:
             with pytest.raises(ReductionError, match="disagrees with delta_y") as caught:
-                run(*args, keep_log=keep_log)
+                run(*args, **mode)
             messages.append(str(caught.value))
-        assert messages[0] == messages[1]
+        assert len(set(messages)) == 1, messages
     assert cli.main(["reduce", "bent", "40", "17"]) == 1
     out, err = capsys.readouterr()
     assert out == "" and "disagrees with delta_y" in err
 
 
 def _assert_the_bookkeeping_refuses(capsys, runs):
-    # A run without its log is refused the same way, at the same vertex, and
-    # `reduce` exits 1 with or without the log it would print.
+    # A run without its log, watched or not, is refused the same way, at the
+    # same vertex, and `reduce` exits 1 with or without the log it would print.
     for run, args in runs:
         messages = []
-        for keep_log in (True, False):
+        for mode in _RECORD_MODES:
             with pytest.raises(ReductionError, match="tail bookkeeping disagrees") as caught:
-                run(*args, keep_log=keep_log)
+                run(*args, **mode)
             messages.append(str(caught.value))
-        assert messages[0] == messages[1]
+        assert len(set(messages)) == 1, messages
     for flags in ((), ("--emit-log",)):
         assert cli.main(["reduce", "bent", "40", "17", *flags]) == 1
         out, err = capsys.readouterr()
